@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .bvar import (
     OlsFit,
     PosteriorDraw,
+    PosteriorDraws,
     PriorSpec,
     VarSpec,
     build_regressors,
@@ -65,6 +66,7 @@ __all__ = [
     "OlsFit",
     "PriorSpec",
     "PosteriorDraw",
+    "PosteriorDraws",
     "build_regressors",
     "ols_estimate",
     "posterior_mean",

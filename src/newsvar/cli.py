@@ -30,7 +30,7 @@ import yaml
 from . import __version__
 from .bvar import (
     OlsFit,
-    PosteriorDraw,
+    PosteriorDraws,
     PriorSpec,
     VarSpec,
     build_regressors,
@@ -349,18 +349,15 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
     spec, fit = _fit(config, panel)
     prior = _prior_spec(config)
     draws = posterior_sample(fit, prior, config.draws, config.seed)
-    b = np.stack([d.B for d in draws])
-    sigma = np.stack([d.Sigma for d in draws])
-    stable = np.array([d.stable for d in draws])
     paths = {
         "coefficients": out / "posterior_coefficients.npy",
         "covariances": out / "posterior_covariances.npy",
         "stable": out / "posterior_stable.npy",
         "meta": out / "posterior.json",
     }
-    np.save(paths["coefficients"], b)
-    np.save(paths["covariances"], sigma)
-    np.save(paths["stable"], stable)
+    np.save(paths["coefficients"], draws.B)
+    np.save(paths["covariances"], draws.Sigma)
+    np.save(paths["stable"], draws.stable)
     _write_json(
         {
             "spec_hash": _spec_key(spec),
@@ -370,35 +367,63 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
             "order": spec.order,
             "lags": spec.lags,
             "intercept": spec.intercept,
-            "share_stable": float(stable.mean()),
+            "share_stable": float(draws.stable.mean()),
         },
         paths["meta"],
     )
     return paths
 
 
-def _load_posterior(out: Path) -> tuple[VarSpec, list[PosteriorDraw]]:
+def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDraws]:
+    """The posterior artifact in ``out``, refused when it was estimated under
+    another VAR spec or prior than ``config`` describes (the config's
+    ordering defaults to the stored one), holds too few draws for bands, or
+    has arrays that are missing or disagree with ``posterior.json``."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(
             f"no posterior artifact in {out}; run the estimate command first"
         )
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    b = np.load(out / "posterior_coefficients.npy")
-    sigma = np.load(out / "posterior_covariances.npy")
-    stable = np.load(out / "posterior_stable.npy")
     spec = VarSpec(
-        order=list(meta["order"]), lags=int(meta["lags"]), intercept=bool(meta["intercept"])
+        order=config.variables or list(meta["order"]),
+        lags=config.lags,
+        intercept=config.intercept,
     )
-    draws = [
-        PosteriorDraw(B=b[i], Sigma=sigma[i], stable=bool(stable[i]))
-        for i in range(b.shape[0])
-    ]
+    for what, key, stored in (
+        ("VAR spec (ordering, lags, intercept)", _spec_key(spec), meta["spec_hash"]),
+        ("prior", _prior_key(_prior_spec(config)), meta["prior_hash"]),
+    ):
+        if key != stored:
+            raise ConfigError(
+                f"the posterior in {out} was estimated under a different {what} "
+                f"than this config; re-run estimate"
+            )
+    if meta["n_draws"] < 2:
+        raise ConfigError(
+            f"the posterior in {out} holds {meta['n_draws']} draw; bands need at "
+            f"least 2, so re-run estimate with --draws 2 or more"
+        )
+    try:
+        draws = PosteriorDraws(
+            B=np.load(out / "posterior_coefficients.npy"),
+            Sigma=np.load(out / "posterior_covariances.npy"),
+            stable=np.load(out / "posterior_stable.npy"),
+        )
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unreadable posterior arrays in {out}: {exc}") from None
+    n = len(spec.order)
+    expected = (meta["n_draws"], n * spec.lags + int(spec.intercept), n)
+    if draws.B.shape != expected:
+        raise DataError(
+            f"posterior coefficients in {out} have shape {draws.B.shape} but "
+            f"posterior.json records {expected}; re-run estimate"
+        )
     return spec, draws
 
 
 def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
-    spec, draws = _load_posterior(out)
+    spec, draws = _load_posterior(out, config)
     irfs = irf_bands(draws, spec, config.horizon)
     shock_name = config.irf_shock or spec.order[0]
     if shock_name not in spec.order:

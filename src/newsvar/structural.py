@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvar import PosteriorDraw, VarSpec, companion
+from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, companion
 from .errors import NumericalError
 
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
@@ -105,12 +105,83 @@ def compute_irf(draw: PosteriorDraw, spec: VarSpec, horizon: int) -> np.ndarray:
     return irf_from_factors(draw.B, cholesky_rotate(draw.Sigma).L, spec, horizon)
 
 
-def irf_bands(draws: list[PosteriorDraw], spec: VarSpec, horizon: int) -> IrfSet:
-    """Pointwise 16/50/84 percentile bands of the draw-wise responses."""
+def _batched_impact(sigma: np.ndarray) -> np.ndarray:
+    """Cholesky factors of stacked covariances (D, n, n), with the checks of
+    ``cholesky_rotate``; a failure names the first offending draw."""
+    asym = np.abs(sigma - sigma.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(asym > 1e-10)
+    if bad.size:
+        raise NumericalError(
+            f"draw {bad[0]}: covariance not symmetric (max asymmetry {asym[bad[0]]:.3e})"
+        )
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        for i, draw_sigma in enumerate(sigma):
+            try:
+                cholesky_rotate(draw_sigma)
+            except NumericalError as exc:
+                raise NumericalError(f"draw {i}: {exc}") from None
+        raise
+
+
+def _ma_responses(b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int) -> np.ndarray:
+    """Structural MA coefficients of every draw by the recursion
+    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, written
+    into one (D, H+1, n, n) array.
+
+    Each step is one batched product of the lag blocks [A_m ... A_1]
+    (n x m*n) with the stacked [Theta_{h-m}; ...; Theta_{h-1}] (m*n x n),
+    which is a view of the output array.
+    """
+    d, n, p = b.shape[0], impact.shape[1], spec.lags
+    expected = n * p + int(spec.intercept)
+    if b.shape[1:] != (expected, n):
+        raise ValueError(
+            f"B draws have shape {b.shape[1:]}; expected ({expected}, {n}) for "
+            f"n={n}, p={p}, intercept={spec.intercept}"
+        )
+    # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
+    blocks = b[:, int(spec.intercept):, :].reshape(d, p, n, n)
+    lagged = blocks[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n)
+    out = np.empty((d, horizon + 1, n, n))
+    out[:, 0] = impact
+    for h in range(1, horizon + 1):
+        m = min(h, p)
+        np.matmul(
+            lagged[:, :, (p - m) * n:],
+            out[:, h - m: h].reshape(d, m * n, n),
+            out=out[:, h],
+        )
+    return out
+
+
+def _percentile_bands(responses: np.ndarray) -> np.ndarray:
+    """16/50/84 percentiles across draws (axis 0), taken on a draws-last
+    copy so each selection runs over contiguous memory; equal to
+    ``np.percentile(responses, BAND_PERCENTILES, axis=0)``."""
+    d = responses.shape[0]
+    by_cell = np.ascontiguousarray(responses.reshape(d, -1).T)
+    bands = np.percentile(by_cell, BAND_PERCENTILES, axis=1, overwrite_input=True)
+    return bands.reshape((len(BAND_PERCENTILES),) + responses.shape[1:])
+
+
+def irf_bands(
+    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
+) -> IrfSet:
+    """Pointwise 16/50/84 percentile bands of the draw-wise responses.
+
+    A list of ``PosteriorDraw`` is stacked once; the responses of all draws
+    are then computed together (see ``_ma_responses``) and equal the
+    per-draw ``compute_irf`` up to rounding.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if len(draws) < 2:
         raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
-    responses = np.stack([compute_irf(d, spec, horizon) for d in draws])
-    lower, median, upper = np.percentile(responses, BAND_PERCENTILES, axis=0)
+    draws = PosteriorDraws.stack(draws)
+    responses = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
+    lower, median, upper = _percentile_bands(responses)
     return IrfSet(
         responses=responses,
         horizons=np.arange(horizon + 1),
@@ -151,8 +222,8 @@ def rescale_irf(
     lower = irfs.lower.copy()
     median = irfs.median.copy()
     upper = irfs.upper.copy()
-    lower[:, :, shock], median[:, :, shock], upper[:, :, shock] = np.percentile(
-        responses[:, :, :, shock], BAND_PERCENTILES, axis=0
+    lower[:, :, shock], median[:, :, shock], upper[:, :, shock] = _percentile_bands(
+        responses[:, :, :, shock]
     )
     note = (
         f"{irfs.scale_note}; shock {irfs.shocks[shock]} rescaled by {factor!r} so the "

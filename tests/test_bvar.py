@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import stats
 
 from newsvar.bvar import (
+    PosteriorDraw,
+    PosteriorDraws,
     PriorSpec,
     VarSpec,
     build_regressors,
     companion,
     ols_estimate,
     posterior_mean,
+    posterior_moments,
     posterior_sample,
     spectral_radius,
 )
@@ -232,6 +236,94 @@ class TestPosteriorSample:
         flags = [d.stable for d in draws]
         assert len(draws) == 200
         assert not all(flags)  # explosive root draws retained, only flagged
+
+
+def reference_posterior_sample(fit, prior, spec, n_draws, seed):
+    """Per-draw NIW sampler written independently of the library: scipy's
+    inverse-Wishart draw from each spawned child generator, B from the
+    matric-normal with a re-factorised Sigma, and the companion spectral
+    radius of each draw."""
+    b_post, omega_post, s_post, nu_post = posterior_moments(fit, prior)
+    chol_row = np.linalg.cholesky(omega_post)
+    k, n = b_post.shape
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(n_draws):
+        rng = np.random.default_rng(child)
+        sigma = np.atleast_2d(stats.invwishart.rvs(df=nu_post, scale=s_post, random_state=rng))
+        z = rng.standard_normal((k, n))
+        b = b_post + chol_row @ z @ np.linalg.cholesky(sigma).T
+        stable = spectral_radius(companion(b, spec)) < 1.0
+        draws.append(PosteriorDraw(B=b, Sigma=sigma, stable=stable))
+    return PosteriorDraws.stack(draws)
+
+
+def max_rel_gap(actual, expected):
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+class TestBatchedSamplerOracle:
+    @pytest.mark.parametrize("kind", ["flat", "minnesota"])
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("lags", [1, 4])
+    def test_matches_per_draw_invwishart_sampler(self, kind, intercept, lags):
+        # A persistent 3-variable VAR(1) on a short sample, so both stable
+        # and explosive draws occur.
+        dgp = Dgp(
+            B=np.array(
+                [[0.1 * intercept, -0.1 * intercept, 0.05 * intercept],
+                 [0.97, 0.05, 0.0], [0.02, 0.6, 0.1], [0.0, -0.2, 0.5]]
+            ),
+            L=np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.7]]),
+            seed=23,
+        )
+        panel, _ = simulate_var(dgp, 80)
+        spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
+        fit = ols_estimate(*build_regressors(panel, spec))
+        prior = PriorSpec(kind=kind)
+        got = posterior_sample(fit, prior, 60, seed=17)
+        want = reference_posterior_sample(fit, prior, spec, 60, seed=17)
+        assert isinstance(got, PosteriorDraws)
+        assert got.B.shape == want.B.shape and got.Sigma.shape == want.Sigma.shape
+        assert max_rel_gap(got.B, want.B) <= 1e-12
+        assert max_rel_gap(got.Sigma, want.Sigma) <= 1e-12
+        assert_array_equal(got.stable, want.stable)
+
+    def test_univariate_sigma_matches_reference(self):
+        rng = np.random.default_rng(4)
+        t = 50
+        x = np.column_stack([np.ones(t), rng.normal(size=t)])
+        y = x @ np.array([[0.1], [0.9]]) + 0.3 * rng.normal(size=(t, 1))
+        fit = ols_estimate(y, x)
+        spec = VarSpec(order=["y"], lags=1)
+        got = posterior_sample(fit, PriorSpec(kind="flat"), 40, seed=8)
+        want = reference_posterior_sample(fit, PriorSpec(kind="flat"), spec, 40, seed=8)
+        assert max_rel_gap(got.B, want.B) <= 1e-12
+        assert max_rel_gap(got.Sigma, want.Sigma) <= 1e-12
+        assert_array_equal(got.stable, want.stable)
+
+
+class TestPosteriorDraws:
+    def test_sequence_view(self):
+        fit, _ = small_var_fit(t=300)
+        draws = posterior_sample(fit, PriorSpec(kind="flat"), 5, seed=1)
+        assert len(draws) == 5
+        last = draws[-1]
+        assert isinstance(last, PosteriorDraw)
+        assert_array_equal(last.B, draws.B[4])
+        assert [d.stable for d in draws] == draws.stable.tolist()
+
+    def test_stack_round_trip(self):
+        fit, _ = small_var_fit(t=300)
+        draws = posterior_sample(fit, PriorSpec(kind="flat"), 5, seed=1)
+        again = PosteriorDraws.stack(list(draws))
+        assert_array_equal(again.B, draws.B)
+        assert_array_equal(again.Sigma, draws.Sigma)
+        assert_array_equal(again.stable, draws.stable)
+        assert PosteriorDraws.stack(draws) is draws
+
+    def test_inconsistent_shapes_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            PosteriorDraws(B=np.zeros((3, 5, 2)), Sigma=np.zeros((2, 2, 2)), stable=np.ones(3))
 
 
 class TestMinnesotaPrior:

@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+import newsvar
 from newsvar import cli
+from newsvar.bvar import posterior_sample
 from newsvar.panel import load_panel
 
 
@@ -131,6 +138,119 @@ horizon: 4
         g_idx = payload["variables"].index("g")
         assert payload["median"][4][g_idx][0] == pytest.approx(1.0, abs=1e-12)
         assert "rescaled" in payload["scale_note"]
+
+
+class TestPosteriorArtifact:
+    STALE_ESTIMATE = """
+out: work
+data: panel.csv
+variables: [a, b, c]
+lags: 2
+prior: {kind: minnesota, tightness: 0.2}
+draws: 20
+seed: 1
+horizon: 4
+"""
+
+    def write_panel(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = np.cumsum(0.1 * rng.normal(size=(80, 3)), axis=0)
+        with open(tmp_path / "panel.csv", "w", encoding="utf-8") as fh:
+            fh.write("date,a,b,c\n")
+            for i, row in enumerate(values):
+                fh.write(f"{1960 + i // 4}Q{i % 4 + 1}," + ",".join(repr(float(v)) for v in row) + "\n")
+
+    def estimate(self, tmp_path):
+        self.write_panel(tmp_path)
+        cfg = write_yaml(tmp_path / "est.yaml", self.STALE_ESTIMATE)
+        assert cli.main(["estimate", "--config", cfg]) == 0
+        return cfg
+
+    def test_round_trip_is_lossless(self, tmp_path):
+        cfg = self.estimate(tmp_path)
+        config = cli.load_config(cfg)
+        spec, fit = cli._fit(config, cli._load_pipeline(config))
+        expected = posterior_sample(fit, cli._prior_spec(config), config.draws, config.seed)
+        loaded_spec, loaded = cli._load_posterior(Path(config.out), config)
+        assert loaded_spec == spec
+        for name in ("B", "Sigma", "stable"):
+            got, want = getattr(loaded, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert_array_equal(got, want)
+
+    def test_irf_after_estimate_under_another_spec_fails(self, tmp_path, capsys):
+        self.estimate(tmp_path)
+        stale = write_yaml(
+            tmp_path / "irf.yaml",
+            self.STALE_ESTIMATE.replace("[a, b, c]", "[c, b]")
+            .replace("lags: 2", "lags: 4")
+            .replace("kind: minnesota, tightness: 0.2", "kind: flat"),
+        )
+        assert cli.main(["irf", "--config", stale]) == 2
+        assert "re-run estimate" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "irf.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("[a, b, c]", "[b, a, c]"),
+            ("lags: 2", "lags: 3"),
+            ("horizon: 4", "horizon: 4\nintercept: false"),
+            ("tightness: 0.2", "tightness: 0.3"),
+            ("kind: minnesota, tightness: 0.2", "kind: flat"),
+        ],
+    )
+    def test_each_spec_or_prior_change_is_caught(self, tmp_path, old, new):
+        self.estimate(tmp_path)
+        changed = write_yaml(tmp_path / "irf.yaml", self.STALE_ESTIMATE.replace(old, new))
+        assert cli.main(["irf", "--config", changed]) == 2
+
+    def test_stored_order_is_the_default(self, tmp_path):
+        self.estimate(tmp_path)
+        unordered = write_yaml(
+            tmp_path / "irf.yaml", self.STALE_ESTIMATE.replace("variables: [a, b, c]\n", "")
+        )
+        assert cli.main(["irf", "--config", unordered, "--draws", "5", "--horizon", "3"]) == 0
+
+    def test_single_draw_posterior_is_config_error(self, tmp_path, capsys):
+        self.write_panel(tmp_path)
+        cfg = write_yaml(tmp_path / "est.yaml", self.STALE_ESTIMATE)
+        assert cli.main(["estimate", "--config", cfg, "--draws", "1"]) == 0
+        assert cli.main(["irf", "--config", cfg]) == 2
+        assert "--draws 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "names,cut",
+        [
+            (["stable"], np.s_[:5]),
+            (["stable", "coefficients", "covariances"], np.s_[:5]),
+            (["coefficients"], np.s_[:, 1:]),
+        ],
+    )
+    def test_arrays_disagreeing_with_meta_are_data_error(self, tmp_path, names, cut):
+        cfg = self.estimate(tmp_path)
+        for name in names:
+            path = tmp_path / "work" / f"posterior_{name}.npy"
+            np.save(path, np.load(path)[cut])
+        assert cli.main(["irf", "--config", cfg]) == 3
+
+    def test_missing_array_is_data_error(self, tmp_path):
+        cfg = self.estimate(tmp_path)
+        (tmp_path / "work" / "posterior_covariances.npy").unlink()
+        assert cli.main(["irf", "--config", cfg]) == 3
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(newsvar.__file__).resolve().parents[1])
+    probe = "import sys, newsvar.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestDecompose:

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from newsvar.bvar import PosteriorDraw, VarSpec
+from newsvar.bvar import (
+    PosteriorDraw,
+    PosteriorDraws,
+    PriorSpec,
+    VarSpec,
+    build_regressors,
+    ols_estimate,
+    posterior_sample,
+)
 from newsvar.errors import NumericalError
 from newsvar.structural import (
     cholesky_rotate,
@@ -14,7 +22,7 @@ from newsvar.structural import (
     rescale_irf,
     standardize_shock,
 )
-from newsvar.synth import Dgp
+from newsvar.synth import Dgp, simulate_var
 
 
 class TestCholeskyRotate:
@@ -176,6 +184,64 @@ class TestIrfBands:
         spec = VarSpec(order=["y"], lags=1, intercept=False)
         with pytest.raises(ValueError, match="at least 2"):
             irf_bands([ar1_draw()], spec, 2)
+
+    @pytest.mark.parametrize("lags,intercept", [(1, True), (3, False), (4, True)])
+    def test_batched_equals_per_draw_companion_powers(self, lags, intercept):
+        dgp = Dgp(
+            B=np.array([[0.1, 0.0, -0.1], [0.6, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, -0.1, 0.4]]),
+            L=np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [0.2, -0.4, 0.6]]),
+            seed=5,
+        )
+        panel, _ = simulate_var(dgp, 120)
+        spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
+        fit = ols_estimate(*build_regressors(panel, spec))
+        draws = posterior_sample(fit, PriorSpec(kind="minnesota"), 50, seed=3)
+        horizon = 14
+        irfs = irf_bands(draws, spec, horizon)
+        per_draw = np.stack([compute_irf(d, spec, horizon) for d in draws])
+        scale = np.abs(per_draw).max()
+        assert irfs.responses.shape == per_draw.shape
+        assert np.abs(irfs.responses - per_draw).max() <= 1e-12 * scale
+        bands = np.percentile(per_draw, (16.0, 50.0, 84.0), axis=0)
+        for got, want in zip((irfs.lower, irfs.median, irfs.upper), bands):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+        own = np.percentile(irfs.responses, (16.0, 50.0, 84.0), axis=0)
+        assert_array_equal(np.stack([irfs.lower, irfs.median, irfs.upper]), own)
+
+    def test_list_and_stacked_input_agree_exactly(self):
+        rng = np.random.default_rng(2)
+        spec = VarSpec(order=["a", "b"], lags=2)
+        draws = [
+            PosteriorDraw(
+                B=rng.normal(scale=0.2, size=(5, 2)),
+                Sigma=np.eye(2) * rng.uniform(0.5, 2.0),
+                stable=True,
+            )
+            for _ in range(9)
+        ]
+        from_list = irf_bands(draws, spec, 6)
+        from_stack = irf_bands(PosteriorDraws.stack(draws), spec, 6)
+        assert_array_equal(from_list.responses, from_stack.responses)
+        assert_array_equal(from_list.median, from_stack.median)
+
+    def test_non_pd_draw_is_named(self):
+        spec = VarSpec(order=["a", "b"], lags=1, intercept=False)
+        draws = [PosteriorDraw(B=0.1 * np.eye(2), Sigma=np.eye(2), stable=True) for _ in range(4)]
+        draws[2] = PosteriorDraw(B=0.1 * np.eye(2), Sigma=np.array([[1.0, 2.0], [2.0, 1.0]]), stable=True)
+        with pytest.raises(NumericalError, match=r"draw 2: .*smallest eigenvalue"):
+            irf_bands(draws, spec, 3)
+
+    def test_asymmetric_draw_is_named(self):
+        spec = VarSpec(order=["a", "b"], lags=1, intercept=False)
+        draws = [PosteriorDraw(B=0.1 * np.eye(2), Sigma=np.eye(2), stable=True) for _ in range(4)]
+        draws[3] = PosteriorDraw(B=0.1 * np.eye(2), Sigma=np.array([[1.0, 0.5], [0.0, 1.0]]), stable=True)
+        with pytest.raises(NumericalError, match=r"draw 3: .*symmetric"):
+            irf_bands(draws, spec, 3)
+
+    def test_coefficient_layout_mismatch_rejected(self):
+        spec = VarSpec(order=["y"], lags=2, intercept=False)
+        with pytest.raises(ValueError, match="expected"):
+            irf_bands([ar1_draw(), ar1_draw()], spec, 3)
 
 
 class TestRescaleIrf:
