@@ -33,6 +33,7 @@ from .panel import TimeSeriesPanel, align_range, apply_transforms, load_panel, w
 from .patentval import (
     InnovationIndex,
     PatentEvent,
+    PatentEvents,
     assign_values,
     build_index,
     filter_value,
@@ -87,6 +88,7 @@ __all__ = [
     "lp_irf_state",
     "newey_west",
     "PatentEvent",
+    "PatentEvents",
     "InnovationIndex",
     "filter_value",
     "assign_values",

@@ -44,7 +44,6 @@ from .panel import (
     TimeSeriesPanel,
     align_range,
     apply_transforms,
-    format_quarter,
     load_panel,
     parse_quarter,
     write_panel,
@@ -599,9 +598,8 @@ def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
     if not events:
         raise DataError(f"no events in {config.index.events}")
     valued = assign_values(events, config.index.sigma_v, config.index.sigma_e)
-    quarters = sorted(parse_quarter(quarter_of(e.grant_date)) for e in valued)
-    start = config.index.start or format_quarter(quarters[0])
-    end = config.index.end or format_quarter(quarters[-1])
+    start = config.index.start or quarter_of(valued.grant_date.min().item())
+    end = config.index.end or quarter_of(valued.grant_date.max().item())
     idx = build_index(valued, start, end)
     paths = {"index": out / "index.csv", "stats": out / "index_stats.json"}
     write_index(idx, paths["index"])

@@ -7,20 +7,32 @@ noise, so the filtered value is the market cap times the posterior mean of v.
 Values are then summed by quarter, split by the green flag, to form the two
 indices. Window returns arrive as data; estimating them from raw prices is
 out of scope.
+
+Events travel as ``PatentEvents``, one array per field, so loading, valuing
+and bucketing run column-wise rather than once per event.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
 from .panel import format_quarter, parse_quarter, quarter_range
+
+_REQUIRED = ("grant_date", "firm_id", "green", "window_return", "market_cap")
+# Data rows converted per block by load_events; bounds how many per-cell
+# strings are alive at once.
+_BLOCK_ROWS = 1 << 12
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+_GREEN = {"0": False, "1": True}
 
 
 @dataclass
@@ -35,6 +47,85 @@ class PatentEvent:
     market_cap: float
     sigma_e: float | None = None
     value: float | None = None
+
+
+def _objects(items) -> np.ndarray:
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+@dataclass
+class PatentEvents:
+    """Grant events as equal-length columns: ``grant_date`` (datetime64[D]),
+    ``firm_id`` (object, str), ``green`` (bool), ``window_return``,
+    ``market_cap``, ``sigma_e`` (NaN = use the default) and ``value`` (NaN =
+    not yet valued). ``len`` is the event count; indexing and iteration
+    yield single ``PatentEvent`` views."""
+
+    grant_date: np.ndarray
+    firm_id: np.ndarray
+    green: np.ndarray
+    window_return: np.ndarray
+    market_cap: np.ndarray
+    sigma_e: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        shapes = [getattr(self, f.name).shape for f in fields(self)]
+        if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
+            raise ValueError(f"inconsistent event columns: shapes {shapes}")
+
+    @classmethod
+    def stack(cls, events) -> "PatentEvents":
+        """Stack a sequence of ``PatentEvent`` once; a ``PatentEvents`` is
+        returned as is."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+
+        def floats(name):
+            cells = (getattr(e, name) for e in events)
+            return np.array([np.nan if v is None else v for v in cells], dtype=float)
+
+        return cls(
+            grant_date=np.array([e.grant_date for e in events], dtype="datetime64[D]"),
+            firm_id=_objects([e.firm_id for e in events]),
+            green=np.array([e.green for e in events], dtype=bool),
+            window_return=floats("window_return"),
+            market_cap=floats("market_cap"),
+            sigma_e=floats("sigma_e"),
+            value=floats("value"),
+        )
+
+    def __len__(self) -> int:
+        return self.grant_date.shape[0]
+
+    def __getitem__(self, i: int) -> PatentEvent:
+        i = operator.index(i)
+        sigma_e, value = float(self.sigma_e[i]), float(self.value[i])
+        return PatentEvent(
+            grant_date=self.grant_date[i].item(),
+            firm_id=self.firm_id[i],
+            green=bool(self.green[i]),
+            window_return=float(self.window_return[i]),
+            market_cap=float(self.market_cap[i]),
+            sigma_e=None if math.isnan(sigma_e) else sigma_e,
+            value=None if math.isnan(value) else value,
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def _take(self, index) -> "PatentEvents":
+        return PatentEvents(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def _grant_order(self) -> np.ndarray:
+        """Stable order by (grant_date, firm_id); ties keep input order."""
+        firms = sorted(set(self.firm_id))
+        rank = dict(zip(firms, range(len(firms))))
+        firm = np.fromiter(map(rank.__getitem__, self.firm_id), np.int64, len(self))
+        return np.lexsort((firm, self.grant_date))
 
 
 @dataclass
@@ -53,14 +144,18 @@ class IndexStats:
     ratio: np.ndarray
 
 
-def _mills_ratio(z: float) -> float:
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _mills_ratio(z):
     # phi(z)/Phi(z), stable for arbitrarily negative z via erfcx.
-    return math.sqrt(2.0 / math.pi) / special.erfcx(-z / math.sqrt(2.0))
+    return _scalar_or_array(
+        math.sqrt(2.0 / math.pi) / special.erfcx(-np.asarray(z, dtype=float) / math.sqrt(2.0))
+    )
 
 
-def filter_value(
-    window_return: float, sigma_v: float, sigma_e: float, market_cap: float
-) -> float:
+def filter_value(window_return, sigma_v, sigma_e, market_cap):
     """Dollar value of one patent grant given the window return.
 
     With a N(0, sigma_v^2) prior on the return contribution truncated to
@@ -69,58 +164,60 @@ def filter_value(
     sigma_v^2/(sigma_v^2+sigma_e^2) and s = sqrt(delta)*sigma_e, whose mean
     is delta*r + s*phi(delta*r/s)/Phi(delta*r/s). The result is strictly
     positive and increasing in the return.
+
+    Arguments broadcast: scalars give a ``float``, arrays an array of one
+    value per element. Only correctly rounded operations and ``erfcx``
+    are used (squares are products), so an array element equals the
+    scalar call on that element to the last bit.
     """
-    if sigma_v <= 0 or sigma_e <= 0:
+    r, sv, se, cap = (
+        np.asarray(x, dtype=float) for x in (window_return, sigma_v, sigma_e, market_cap)
+    )
+    if np.any(sv <= 0) or np.any(se <= 0):
         raise ValueError("sigma_v and sigma_e must be > 0")
-    if market_cap <= 0:
+    if np.any(cap <= 0):
         raise ValueError("market_cap must be > 0")
-    delta = sigma_v**2 / (sigma_v**2 + sigma_e**2)
-    s = math.sqrt(delta) * sigma_e
-    mean = delta * window_return
-    return market_cap * (mean + s * _mills_ratio(mean / s))
+    var_v = sv * sv
+    delta = var_v / (var_v + se * se)
+    s = np.sqrt(delta) * se
+    mean = delta * r
+    return _scalar_or_array(cap * (mean + s * _mills_ratio(mean / s)))
 
 
-def assign_values(
-    events: list[PatentEvent], sigma_v: float, default_sigma_e: float
-) -> list[PatentEvent]:
-    """Fill event values with the filter.
+def assign_values(events, sigma_v: float, default_sigma_e: float) -> PatentEvents:
+    """Fill event values with the filter; ``events`` is a ``PatentEvents``
+    or a sequence of ``PatentEvent``. Returns the events sorted by
+    (grant_date, firm_id), same-key events in input order.
 
     Patents granted to the same firm on the same day share one window
     reaction, which cannot be attributed patent by patent; the filtered
     value is split equally across them.
     """
-    groups: dict[tuple[str, dt.date], list[PatentEvent]] = {}
-    for event in events:
-        groups.setdefault((event.firm_id, event.grant_date), []).append(event)
-    out = []
-    for (firm, day), members in groups.items():
-        first = members[0]
-        for other in members[1:]:
-            if (
-                other.window_return != first.window_return
-                or other.market_cap != first.market_cap
-                or other.sigma_e != first.sigma_e
-            ):
-                raise DataError(
-                    f"inconsistent window data for firm {firm} on {day}: "
-                    "same-day events must share return, cap, and noise scale"
-                )
-        sigma_e = first.sigma_e if first.sigma_e is not None else default_sigma_e
-        total = filter_value(first.window_return, sigma_v, sigma_e, first.market_cap)
-        share = total / len(members)
-        for event in members:
-            out.append(
-                PatentEvent(
-                    grant_date=event.grant_date,
-                    firm_id=event.firm_id,
-                    green=event.green,
-                    window_return=event.window_return,
-                    market_cap=event.market_cap,
-                    sigma_e=event.sigma_e,
-                    value=share,
-                )
-            )
-    out.sort(key=lambda e: (e.grant_date, e.firm_id))
+    events = PatentEvents.stack(events)
+    order = events._grant_order()
+    out = events._take(order)
+    day, firm, sigma_e = out.grant_date, out.firm_id, out.sigma_e
+    starts_group = np.ones(len(out), dtype=bool)
+    starts_group[1:] = (day[1:] != day[:-1]) | (firm[1:] != firm[:-1])
+    starts = np.flatnonzero(starts_group)
+    lead = starts[np.cumsum(starts_group) - 1]
+    same = (
+        (out.window_return == out.window_return[lead])
+        & (out.market_cap == out.market_cap[lead])
+        & ((sigma_e == sigma_e[lead]) | (np.isnan(sigma_e) & np.isnan(sigma_e[lead])))
+    )
+    inconsistent = lead[~(same | starts_group)]
+    if inconsistent.size:
+        # the group that appears first in the input
+        i = inconsistent[np.argmin(order[inconsistent])]
+        raise DataError(
+            f"inconsistent window data for firm {firm[i]} on {day[i].item()}: "
+            "same-day events must share return, cap, and noise scale"
+        )
+    sigma = np.where(np.isnan(sigma_e[starts]), default_sigma_e, sigma_e[starts])
+    total = filter_value(out.window_return[starts], sigma_v, sigma, out.market_cap[starts])
+    count = np.diff(np.append(starts, len(out)))
+    out.value = np.repeat(total / count, count)
     return out
 
 
@@ -128,13 +225,20 @@ def quarter_of(day: dt.date) -> str:
     return format_quarter(day.year * 4 + (day.month - 1) // 3)
 
 
-def build_index(events: list[PatentEvent], start: str, end: str) -> InnovationIndex:
+def build_index(events, start: str, end: str) -> InnovationIndex:
     """Quarterly sums of event values by green flag over the full calendar
-    from start to end; quarters with no events are exactly zero."""
+    from start to end; quarters with no events are exactly zero. ``events``
+    is a ``PatentEvents`` or a sequence of ``PatentEvent``."""
+    events = PatentEvents.stack(events)
     dates = quarter_range(start, end)
     lo, hi = parse_quarter(start), parse_quarter(end)
-    buckets: dict[tuple[int, bool], list[float]] = {}
-    for event in sorted(events, key=lambda e: (e.grant_date, e.firm_id)):
+    # serial quarter of each grant, parse_quarter(quarter_of(day))
+    serial = 1970 * 4 + events.grant_date.astype("datetime64[M]").astype(np.int64) // 3
+    bad = np.isnan(events.value) | (events.value < 0) | (serial < lo) | (serial > hi)
+    if bad.any():
+        # name the first bad event in (grant_date, firm_id) order
+        order = events._grant_order()
+        event = events[order[np.argmax(bad[order])]]
         if event.value is None:
             raise DataError(
                 f"event for {event.firm_id} on {event.grant_date} has no value; "
@@ -144,21 +248,15 @@ def build_index(events: list[PatentEvent], start: str, end: str) -> InnovationIn
             raise DataError(
                 f"negative value {event.value} for {event.firm_id} on {event.grant_date}"
             )
-        serial = parse_quarter(quarter_of(event.grant_date))
-        if serial < lo or serial > hi:
-            raise DataError(
-                f"event on {event.grant_date} outside index range {start}..{end}"
-            )
-        buckets.setdefault((serial, event.green), []).append(event.value)
-    gpbii = np.zeros(len(dates))
-    ngpbii = np.zeros(len(dates))
-    for (serial, green), values in buckets.items():
-        total = math.fsum(values)
-        if green:
-            gpbii[serial - lo] = total
-        else:
-            ngpbii[serial - lo] = total
-    return InnovationIndex(dates=dates, gpbii=gpbii, ngpbii=ngpbii)
+        raise DataError(f"event on {event.grant_date} outside index range {start}..{end}")
+    # bucket 2q holds quarter q's non-green values, 2q+1 its green ones;
+    # fsum is correctly rounded, so the order within a bucket is immaterial
+    bucket = 2 * (serial - lo) + events.green
+    order = np.argsort(bucket)
+    bounds = np.searchsorted(bucket[order], np.arange(2 * len(dates) + 1))
+    values = events.value[order].tolist()
+    totals = np.array([math.fsum(values[a:b]) for a, b in itertools.pairwise(bounds)])
+    return InnovationIndex(dates=dates, gpbii=totals[1::2], ngpbii=totals[0::2])
 
 
 def index_stats(idx: InnovationIndex) -> IndexStats:
@@ -187,49 +285,120 @@ def index_stats(idx: InnovationIndex) -> IndexStats:
     )
 
 
-def load_events(path) -> list[PatentEvent]:
+def _iso_day(cell: str) -> int | None:
+    try:
+        return dt.date.fromisoformat(cell.strip()).toordinal() - _EPOCH
+    except ValueError:
+        return None
+
+
+def _memoised(cells, memo: dict, convert) -> tuple[list, int | None]:
+    """``convert`` each distinct cell once (``memo`` carries over between
+    blocks); returns the converted column and the index of its first None."""
+    memo.update((cell, convert(cell)) for cell in set(cells).difference(memo))
+    values = list(map(memo.__getitem__, cells))
+    return values, (values.index(None) if None in values else None)
+
+
+def _floats(cells) -> tuple[np.ndarray, int | None]:
+    """``float`` of each cell up to the first one it rejects, and that
+    cell's index (None when every cell converts)."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), None
+    except ValueError:
+        values = []
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return np.array(values, dtype=float), len(values)
+        raise
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _parse_block(rows, col: dict[str, int], width: int, memos: dict, first: int) -> tuple:
+    """Event columns of one block of data rows, the first of which is file
+    row ``first``. Each check finds its first failing row; the earliest of
+    those is raised, so the error names the same row a row-by-row loop
+    would."""
+    checks = []
+    if set(map(len, rows)) != {width}:
+        need = 1 + max(col[name] for name in _REQUIRED)
+        short = (i for i, row in enumerate(rows) if len(row) < need)
+        checks.append((next(short, None), "missing cells"))
+        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    cells = list(zip(*rows))
+    n = len(rows)
+    raw_day = cells[col["grant_date"]]
+    day, bad_day = _memoised(raw_day, memos["grant_date"], _iso_day)
+    green, bad_green = _memoised(
+        cells[col["green"]], memos["green"], lambda cell: _GREEN.get(cell.strip())
+    )
+    firm, _ = _memoised(cells[col["firm_id"]], memos["firm_id"], str.strip)
+    ret, bad_ret = _floats(cells[col["window_return"]])
+    cap, bad_cap = _floats(cells[col["market_cap"]])
+    if "sigma_e" in col:
+        raw_sigma = cells[col["sigma_e"]]
+        given = np.fromiter(map(bool, raw_sigma), bool, n)
+        sigma, bad_sigma = _floats([cell or "nan" for cell in raw_sigma])
+    else:
+        given, sigma, bad_sigma = np.zeros(n, dtype=bool), np.full(n, np.nan), None
+    numeric = [i for i in (bad_ret, bad_cap, bad_sigma) if i is not None]
+    checks += [
+        (bad_day, f"bad grant_date {raw_day[bad_day]!r}" if bad_day is not None else ""),
+        (bad_green, "green flag must be 0 or 1"),
+        (min(numeric, default=None), "non-numeric cell"),
+        (_first(~np.isfinite(ret)), "window_return must be finite"),
+        (_first(~np.isfinite(cap)), "market_cap must be finite"),
+        (_first(given[: len(sigma)] & ~np.isfinite(sigma)), "sigma_e must be finite"),
+        (_first(cap <= 0), "market_cap must be > 0"),
+        (_first(sigma <= 0), "sigma_e must be > 0"),
+    ]
+    failed = [(i, message) for i, message in checks if i is not None]
+    if failed:
+        i, message = min(failed, key=operator.itemgetter(0))
+        raise DataError(f"row {first + i}: {message}")
+    return (
+        np.array(day, dtype=np.int64).view("datetime64[D]"),
+        _objects(firm),
+        np.array(green, dtype=bool),
+        ret,
+        cap,
+        sigma,
+        np.full(n, np.nan),
+    )
+
+
+def load_events(path) -> PatentEvents:
     """Read events from CSV with columns grant_date (ISO), firm_id,
-    green (0/1), window_return, market_cap, and optional sigma_e."""
+    green (0/1), window_return, market_cap, and optional sigma_e (an empty
+    cell means the default). window_return, market_cap and a given sigma_e
+    must be finite; market_cap and a given sigma_e must be > 0. A bad cell
+    raises DataError naming its row (the header is row 1; blank lines are
+    skipped and not counted)."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read events file {path}: {exc}") from exc
-    events = []
     with fh:
-        reader = csv.DictReader(fh)
-        required = {"grant_date", "firm_id", "green", "window_return", "market_cap"}
-        missing = required - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        missing = set(_REQUIRED) - set(header)
         if missing:
             raise DataError(f"events file missing columns {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                day = dt.date.fromisoformat(row["grant_date"].strip())
-            except ValueError:
-                raise DataError(
-                    f"row {lineno}: bad grant_date {row['grant_date']!r}"
-                ) from None
-            green_raw = row["green"].strip()
-            if green_raw not in ("0", "1"):
-                raise DataError(f"row {lineno}: green flag must be 0 or 1")
-            try:
-                ret = float(row["window_return"])
-                cap = float(row["market_cap"])
-                sigma_e = float(row["sigma_e"]) if row.get("sigma_e") else None
-            except ValueError:
-                raise DataError(f"row {lineno}: non-numeric cell") from None
-            if cap <= 0:
-                raise DataError(f"row {lineno}: market_cap must be > 0")
-            events.append(
-                PatentEvent(
-                    grant_date=day,
-                    firm_id=row["firm_id"].strip(),
-                    green=green_raw == "1",
-                    window_return=ret,
-                    market_cap=cap,
-                    sigma_e=sigma_e,
-                )
-            )
-    return events
+        col = {name: i for i, name in enumerate(header)}
+        rows = filter(None, reader)
+        memos = {"grant_date": {}, "green": {}, "firm_id": {}}
+        blocks, first = [], 2
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            blocks.append(_parse_block(block, col, len(header), memos, first))
+            first += len(block)
+    if not blocks:
+        return PatentEvents.stack([])
+    return PatentEvents(*map(np.concatenate, zip(*blocks)))
 
 
 def write_index(idx: InnovationIndex, path, date_column: str = "date") -> None:

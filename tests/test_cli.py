@@ -448,6 +448,32 @@ index:
         assert "level_correlation" in stats
 
 
+    def bad_events_config(self, tmp_path, *rows):
+        cfg = self.index_config(tmp_path)
+        with open(tmp_path / "events.csv", "a", encoding="utf-8") as fh:
+            fh.writelines(row + "\n" for row in rows)
+        return cfg
+
+    def test_non_finite_cells_are_data_error(self, tmp_path, capsys):
+        # before: exit 0 and an index.csv row "1999Q2,nan,inf"
+        cfg = self.bad_events_config(tmp_path, "1999-05-01,firmx,1,nan,inf")
+        assert cli.main(["index", "--config", cfg]) == 3
+        assert "row 42: window_return must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "idxout" / "index.csv").exists()
+
+    def test_non_positive_sigma_e_is_data_error(self, tmp_path, capsys):
+        # before: exit 4, "numerical error: sigma_v and sigma_e must be > 0"
+        path = tmp_path / "events.csv"
+        cfg = self.index_config(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] += ",sigma_e"
+        lines[1:] = [line + "," for line in lines[1:]]
+        lines[5] = lines[5] + "-0.05"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["index", "--config", cfg]) == 3
+        assert "data error: row 6: sigma_e must be > 0" in capsys.readouterr().err
+
+
 class TestConfigAndExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", "out: x\nbogus_key: 1\n")

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import math
 
@@ -6,10 +7,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+from newsvar import cli, patentval
 from newsvar.errors import DataError, NumericalError
+from newsvar.panel import parse_quarter, quarter_range
 from newsvar.patentval import (
     InnovationIndex,
     PatentEvent,
+    PatentEvents,
+    _mills_ratio,
     assign_values,
     build_index,
     filter_value,
@@ -302,6 +307,91 @@ class TestEventsIo:
         with pytest.raises(DataError, match="green flag"):
             load_events(path)
 
+    @staticmethod
+    def write_rows(tmp_path, *rows):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "grant_date,firm_id,green,window_return,market_cap,sigma_e\n"
+            + "".join(row + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        return path
+
+    GOOD = "1999-05-01,acme,1,0.02,1e9,"
+
+    def test_bad_grant_date_names_row(self, tmp_path):
+        path = self.write_rows(tmp_path, self.GOOD, "1999-13-01,acme,1,0.02,1e9,")
+        with pytest.raises(DataError, match=r"^row 3: bad grant_date '1999-13-01'$"):
+            load_events(path)
+
+    def test_non_numeric_cell_names_row(self, tmp_path):
+        path = self.write_rows(
+            tmp_path, self.GOOD, self.GOOD, "1999-05-02,acme,0,abc,1e9,"
+        )
+        with pytest.raises(DataError, match=r"^row 4: non-numeric cell$"):
+            load_events(path)
+
+    @pytest.mark.parametrize("cap", ["0", "-5e8", "0.0"])
+    def test_non_positive_market_cap_names_row(self, tmp_path, cap):
+        path = self.write_rows(tmp_path, self.GOOD, f"1999-05-02,zorg,0,0.01,{cap},")
+        with pytest.raises(DataError, match=r"^row 3: market_cap must be > 0$"):
+            load_events(path)
+
+    def test_first_bad_row_is_named_across_columns(self, tmp_path):
+        # a bad cap on row 3 is reported before a bad date on row 4
+        path = self.write_rows(
+            tmp_path, self.GOOD, "1999-05-02,zorg,0,0.01,x,", "1999-02-30,acme,1,0.02,1e9,"
+        )
+        with pytest.raises(DataError, match=r"^row 3: non-numeric cell$"):
+            load_events(path)
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("1999-05-02,zorg,0,nan,1e9,", "window_return"),
+            ("1999-05-02,zorg,0,-inf,1e9,", "window_return"),
+            ("1999-05-02,zorg,0,0.01,inf,", "market_cap"),
+            ("1999-05-02,zorg,0,0.01,NaN,", "market_cap"),
+            ("1999-05-02,zorg,0,0.01,1e9,nan", "sigma_e"),
+            ("1999-05-02,zorg,0,0.01,1e9,Infinity", "sigma_e"),
+        ],
+    )
+    def test_non_finite_cell_names_row(self, tmp_path, row, column):
+        path = self.write_rows(tmp_path, self.GOOD, self.GOOD, row)
+        with pytest.raises(DataError, match=rf"^row 4: {column} must be finite$"):
+            load_events(path)
+
+    @pytest.mark.parametrize("sigma", ["0", "-0.05"])
+    def test_non_positive_sigma_e_names_row(self, tmp_path, sigma):
+        path = self.write_rows(tmp_path, self.GOOD, f"1999-05-02,zorg,0,0.01,1e9,{sigma}")
+        with pytest.raises(DataError, match=r"^row 3: sigma_e must be > 0$"):
+            load_events(path)
+
+    def test_short_row_missing_required_cells_names_row(self, tmp_path):
+        path = self.write_rows(tmp_path, self.GOOD, "1999-05-02,zorg,0")
+        with pytest.raises(DataError, match=r"^row 3: missing cells$"):
+            load_events(path)
+
+    def test_short_row_without_sigma_e_uses_default(self, tmp_path):
+        path = self.write_rows(tmp_path, "1999-05-02,zorg,0,0.01,1e9", self.GOOD)
+        events = load_events(path)
+        assert [e.sigma_e for e in events] == [None, None]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self.write_rows(tmp_path, self.GOOD, "", "1999-02-30,acme,1,0.02,1e9,")
+        with pytest.raises(DataError, match=r"^row 3: bad grant_date"):
+            load_events(path)
+
+    def test_blocks_keep_rows_and_row_numbers(self, tmp_path, monkeypatch):
+        rows = [f"1999-05-{day:02d},f{day % 3},{day % 2},0.0{day},1e9,{'0.03' if day % 4 else ''}"
+                for day in range(1, 11)]
+        whole = load_events(self.write_rows(tmp_path, *rows))
+        monkeypatch.setattr(patentval, "_BLOCK_ROWS", 3)
+        assert list(load_events(self.write_rows(tmp_path, *rows))) == list(whole)
+        rows[7] = "1999-05-08,f2,0,oops,1e9,"
+        with pytest.raises(DataError, match=r"^row 9: non-numeric cell$"):
+            load_events(self.write_rows(tmp_path, *rows))
+
     def test_index_csv_feeds_panel_loader(self, tmp_path):
         from newsvar.panel import load_panel
 
@@ -313,3 +403,222 @@ class TestEventsIo:
         panel = load_panel(path)
         assert panel.names == ["gpbii", "ngpbii"]
         assert_array_equal(panel.column("gpbii"), [0.0, 5.0, 0.0, 0.0])
+
+
+class TestPatentEvents:
+    EVENTS = [
+        PatentEvent(dt.date(1999, 5, 1), "acme", True, 0.02, 1e9),
+        PatentEvent(dt.date(1969, 12, 31), "zorg", False, -0.5, 3e9, sigma_e=0.05),
+        PatentEvent(dt.date(2001, 1, 1), "acme", False, 0.0, 2e9, value=4.5),
+    ]
+
+    def test_stack_round_trip(self):
+        stacked = PatentEvents.stack(self.EVENTS)
+        assert len(stacked) == 3
+        assert list(stacked) == self.EVENTS
+        assert stacked[-1] == self.EVENTS[-1]
+        assert PatentEvents.stack(stacked) is stacked
+        assert np.isnan(stacked.sigma_e[0]) and np.isnan(stacked.value[0])
+
+    def test_empty_stack(self):
+        assert len(PatentEvents.stack([])) == 0
+        assert len(assign_values([], 0.02, 0.02)) == 0
+
+    def test_inconsistent_columns_rejected(self):
+        stacked = PatentEvents.stack(self.EVENTS)
+        with pytest.raises(ValueError, match="inconsistent event columns"):
+            PatentEvents(*(stacked.grant_date[:2],) + tuple(
+                getattr(stacked, name)
+                for name in ("firm_id", "green", "window_return", "market_cap", "sigma_e", "value")
+            ))
+
+    def test_assign_values_sorts_stably(self):
+        events = [
+            event("1999-05-02", firm="b", green=True),
+            event("1999-05-01", firm="z", green=True),
+            event("1999-05-02", firm="a", green=False),
+            event("1999-05-02", firm="b", green=False),
+            event("1999-05-02", firm="b", green=True),
+        ]
+        out = assign_values(events, 0.02, 0.02)
+        assert [(e.firm_id, e.green) for e in out] == [
+            ("z", True), ("a", False), ("b", True), ("b", False), ("b", True),
+        ]
+        assert out[2].value == out[3].value == out[4].value
+
+    def test_first_inconsistent_group_in_input_is_named(self):
+        # the 2000 group appears first in the input, the 1999 group sorts first
+        events = [
+            event("2000-01-03", firm="late", ret=0.01),
+            event("1999-01-04", firm="early", ret=0.01),
+            event("2000-01-03", firm="late", ret=0.02),
+            event("1999-01-04", firm="early", ret=0.02),
+        ]
+        with pytest.raises(DataError, match="firm late on 2000-01-03"):
+            assign_values(events, 0.02, 0.02)
+
+    def test_first_bad_event_in_grant_order_is_named(self):
+        events = [event("1999-03-01", firm="b"), event("1999-02-01", firm="a")]
+        with pytest.raises(DataError, match="for a on 1999-02-01 has no value"):
+            build_index(events, "1999Q1", "1999Q4")
+
+
+def _write_oracle_events(path, seed=17, groups=12_000):
+    """Shuffled grant events: same-day groups of 1-4 grants sharing return,
+    cap and noise scale, a per-row sigma_e on a third of the groups, and
+    returns down to -3, where Phi(z) underflows and only erfcx keeps the
+    Mills ratio finite."""
+    rng = np.random.default_rng(seed)
+    first = dt.date(1950, 1, 1).toordinal()
+    days, firms = np.divmod(rng.choice(70 * 365 * 300, groups, replace=False), 300)
+    size = rng.integers(1, 5, groups)
+    ret = np.where(
+        rng.uniform(size=groups) < 0.1,
+        rng.uniform(-3.0, -0.2, groups),
+        rng.normal(0.001, 0.01, groups),
+    )
+    cap = np.exp(rng.normal(21.0, 1.5, groups))
+    sigma = np.where(rng.uniform(size=groups) < 0.33, rng.uniform(0.005, 0.1, groups), np.nan)
+    rows = []
+    for g in range(groups):
+        day = dt.date.fromordinal(first + int(days[g])).isoformat()
+        sigma_cell = "" if np.isnan(sigma[g]) else repr(float(sigma[g]))
+        for _ in range(size[g]):
+            green = int(rng.uniform() < 0.35)
+            rows.append(
+                f"{day},firm{firms[g]},{green},{float(ret[g])!r},{float(cap[g])!r},{sigma_cell}\n"
+            )
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("grant_date,firm_id,green,window_return,market_cap,sigma_e\n")
+        fh.writelines(rows)
+    return len(rows)
+
+
+def _reference_index(path, sigma_v, default_sigma_e):
+    """Event-by-event index: one scalar filter_value call per (firm, day)
+    group, an equal split, and an fsum per (quarter, green) bucket."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["firm_id"], dt.date.fromisoformat(row["grant_date"]))
+            groups.setdefault(key, []).append(row)
+    buckets = {}
+    for (_, day), rows in groups.items():
+        lead = rows[0]
+        sigma_e = float(lead["sigma_e"]) if lead["sigma_e"] else default_sigma_e
+        total = filter_value(
+            float(lead["window_return"]), sigma_v, sigma_e, float(lead["market_cap"])
+        )
+        for row in rows:
+            key = (quarter_of(day), row["green"] == "1")
+            buckets.setdefault(key, []).append(total / len(rows))
+    quarters = sorted({q for q, _ in buckets}, key=parse_quarter)
+    dates = quarter_range(quarters[0], quarters[-1])
+
+    def series(green):
+        return np.array([math.fsum(buckets.get((d, green), [])) for d in dates])
+
+    return InnovationIndex(dates=dates, gpbii=series(True), ngpbii=series(False))
+
+
+class TestColumnarOracle:
+    @pytest.fixture(scope="class")
+    def events_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("oracle") / "events.csv"
+        count = _write_oracle_events(path)
+        assert 20_000 <= count <= 40_000
+        return path
+
+    def test_index_equals_event_by_event_reference_bitwise(self, events_file):
+        events = load_events(events_file)
+        # the data exercise grouping, per-row noise scales and erfcx
+        assert np.isfinite(events.sigma_e).mean() > 0.2
+        assert events.window_return.min() < -2.0
+        ref = _reference_index(events_file, 0.02, 0.03)
+        idx = build_index(assign_values(events, 0.02, 0.03), ref.dates[0], ref.dates[-1])
+        assert idx.dates == ref.dates
+        assert idx.gpbii.tobytes() == ref.gpbii.tobytes()
+        assert idx.ngpbii.tobytes() == ref.ngpbii.tobytes()
+
+    def test_cli_index_csv_is_byte_identical_to_reference(self, events_file, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"out: {tmp_path / 'out'}\nseed: 0\nindex:\n  events: {events_file}\n"
+            "  sigma_v: 0.02\n  sigma_e: 0.03\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["index", "--config", str(config)]) == 0
+        write_index(_reference_index(events_file, 0.02, 0.03), tmp_path / "ref.csv")
+        assert (tmp_path / "out" / "index.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_list_and_columnar_inputs_agree(self, events_file):
+        events = load_events(events_file)
+        from_columns = assign_values(events, 0.02, 0.03)
+        from_list = assign_values(list(events), 0.02, 0.03)
+        assert list(from_list) == list(from_columns)
+        assert from_list.value.tobytes() == from_columns.value.tobytes()
+        start, end = "1949Q1", "2021Q4"
+        a = build_index(from_columns, start, end)
+        b = build_index(list(from_columns), start, end)
+        assert a.gpbii.tobytes() == b.gpbii.tobytes()
+        assert a.ngpbii.tobytes() == b.ngpbii.tobytes()
+
+    def test_assign_values_counts_one_filter_call(self, events_file, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return filter_value(*args)
+
+        monkeypatch.setattr(patentval, "filter_value", counted)
+        assign_values(load_events(events_file), 0.02, 0.03)
+        assert len(calls) == 1
+
+
+class TestArrayFilter:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(11)
+        size = 3000
+        ret = np.concatenate([
+            rng.normal(0.0, 0.05, size // 2),
+            rng.uniform(-5.0, -0.1, size // 2 - 3),
+            [0.0, -0.0, 10.0],
+        ])
+        sigma_v = rng.choice([0.001, 0.02, 0.3], size)
+        sigma_e = rng.uniform(0.001, 0.2, size)
+        cap = np.exp(rng.normal(20.0, 3.0, size))
+        return ret, sigma_v, sigma_e, cap
+
+    def test_array_equals_scalar_calls_to_zero_ulp(self):
+        arrays = self.inputs()
+        got = filter_value(*arrays)
+        want = np.array([filter_value(*map(float, args)) for args in zip(*arrays)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_sigma_v_broadcasts(self):
+        ret, _, sigma_e, cap = self.inputs()
+        got = filter_value(ret, 0.02, sigma_e, cap)
+        want = np.array([filter_value(float(r), 0.02, float(s), float(c))
+                         for r, s, c in zip(ret, sigma_e, cap)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_inputs_give_float(self):
+        assert type(filter_value(0.01, 0.02, 0.02, 1e9)) is float
+        assert type(_mills_ratio(-3.0)) is float
+
+    def test_mills_ratio_array_equals_scalar(self):
+        z = np.concatenate([np.linspace(-1e3, 40.0, 2001), [-1e300, 0.0]])
+        want = np.array([_mills_ratio(float(v)) for v in z])
+        assert _mills_ratio(z).tobytes() == want.tobytes()
+        assert np.all(np.isfinite(want)) and np.all(want >= 0.0)
+
+    def test_any_bad_element_rejected(self):
+        ret, sigma_v, sigma_e, cap = self.inputs()
+        sigma_e[7] = -1.0
+        with pytest.raises(ValueError, match="sigma_v and sigma_e"):
+            filter_value(ret, sigma_v, sigma_e, cap)
+        cap[5] = 0.0
+        with pytest.raises(ValueError, match="market_cap"):
+            filter_value(ret, 0.02, 0.02, cap)
