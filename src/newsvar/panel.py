@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,39 @@ def format_quarter(serial: int) -> str:
     return f"{serial // 4}Q{serial % 4 + 1}"
 
 
+def quarter_labels(first_serial: int, count: int) -> list[str]:
+    """``count`` consecutive labels from serial quarter ``first_serial``,
+    equal to ``format_quarter`` of each serial but built a year at a time."""
+    first_year, skip = divmod(first_serial, 4)
+    labels = []
+    for year in range(first_year, (first_serial + count - 1) // 4 + 1):
+        y = str(year)
+        labels += (y + "Q1", y + "Q2", y + "Q3", y + "Q4")
+    return labels[skip:skip + count]
+
+
 def quarter_range(start: str, end: str) -> list[str]:
     """Inclusive list of quarter labels from start to end."""
     a, b = parse_quarter(start), parse_quarter(end)
     if a > b:
         raise DataError(f"start {start} is after end {end}")
-    return [format_quarter(s) for s in range(a, b + 1)]
+    return quarter_labels(a, b - a + 1)
+
+
+@contextmanager
+def open_input(path, kind: str):
+    """Open a UTF-8 CSV input for reading. A file that cannot be opened or
+    is not valid UTF-8 is a DataError naming the ``kind`` of file and its
+    path, so the CLI reports it as bad data."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{kind} file {path} is not valid UTF-8: {exc.reason}") from None
 
 
 @dataclass
@@ -69,7 +97,10 @@ class TimeSeriesPanel:
             raise DataError(f"{len(self.names)} names for {n} columns")
         if len(set(self.names)) != n:
             raise DataError("variable names must be unique")
-        serials = [parse_quarter(d) for d in self.dates]
+        # canonical consecutive labels pass with one list comparison; any
+        # other input is parsed label by label for the precise error
+        canonical = t > 0 and list(self.dates) == quarter_labels(parse_quarter(self.dates[0]), t)
+        serials = [] if canonical else [parse_quarter(d) for d in self.dates]
         for prev, cur, label in zip(serials, serials[1:], self.dates[1:]):
             if cur == prev:
                 raise DataError(f"duplicate date {label}")
@@ -101,11 +132,7 @@ def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
     Rows are sorted by date before validation, so an out-of-order file is
     accepted as long as the sorted sequence is gap-free.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read panel file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, "panel") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
-from .panel import format_quarter, parse_quarter, quarter_range
+from .panel import format_quarter, open_input, parse_quarter, quarter_range
 
 _REQUIRED = ("grant_date", "firm_id", "green", "window_return", "market_cap")
 # Data rows converted per block by load_events; bounds how many per-cell
@@ -379,11 +379,7 @@ def load_events(path) -> PatentEvents:
     must be finite; market_cap and a given sigma_e must be > 0. A bad cell
     raises DataError naming its row (the header is row 1; blank lines are
     skipped and not counted)."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read events file {path}: {exc}") from exc
-    with fh:
+    with open_input(path, "events") as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
         missing = set(_REQUIRED) - set(header)

@@ -4,6 +4,15 @@ Simulated panels and their true impulse responses back every estimator
 check in the test suite. Shocks are Gaussian, matching the sampling model,
 and a burn-in long enough for spectral radii up to roughly 0.97 removes
 initialization transients.
+
+The recursion runs in blocks of periods rather than one period at a time.
+With a zero pre-sample, period j of a block starting at t0 is
+y_{t0+j} = sum_{i<=j} Psi_{j-i} u_{t0+i} + H_j x_{t0-1}, where
+u_t = c + L eta_t, Psi_k is the top-left n x n block of C^k, H_j the top n
+rows of C^{j+1}, C the companion matrix and x the stacked last p values.
+The first sum is a product of all blocks against one block-Toeplitz matrix;
+the second carries the state across blocks with one small product each, so
+the Python work grows with the number of blocks, not of periods.
 """
 
 from __future__ import annotations
@@ -13,8 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvar import VarSpec, companion, spectral_radius
-from .panel import TimeSeriesPanel, format_quarter, parse_quarter
+from .panel import TimeSeriesPanel, parse_quarter, quarter_labels
 from .structural import irf_from_factors
+
+# Periods per block of the recursion, raised to the lag order when that is
+# larger (the carried state is the last p periods of a block).
+_BLOCK_PERIODS = 64
+
+# Bound on the rows of the block-Toeplitz matrix (block periods x variables):
+# at 512 it holds 512^2 doubles (2 MB), so many variables shorten the block.
+_TOEPLITZ_ROWS = 512
+
+# Multiply-adds per product against the Toeplitz matrix. OpenBLAS ran larger
+# products of these shapes on a second thread, which doubled CPU time and
+# did not lower wall time, so the product is issued in chunks of rows.
+_PRODUCT_MACS = 1 << 16
 
 
 @dataclass
@@ -71,6 +93,11 @@ class Dgp:
         return spectral_radius(companion(self.B, self.var_spec))
 
 
+def _block_periods(n: int, p: int) -> int:
+    """Periods per block of ``simulate_var`` for n variables and p lags."""
+    return max(p, min(_BLOCK_PERIODS, _TOEPLITZ_ROWS // n))
+
+
 def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
     """Simulate y_t = c + sum_l A_l y_{t-l} + L eta_t with iid standard
     normal eta, discarding the burn-in; returns the panel and the kept
@@ -78,21 +105,37 @@ def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     n, p = dgp.n_vars, dgp.lags
-    intercept = dgp.B[0]
-    coefs = dgp.B[1:]
     rng = np.random.default_rng(dgp.seed)
     total = dgp.burn_in + periods
     eta = rng.standard_normal((total, n))
-    shocks = eta @ dgp.L.T
-    y = np.zeros((total + p, n))
-    for t in range(total):
-        row = intercept.copy()
-        for lag in range(1, p + 1):
-            row += coefs[(lag - 1) * n: lag * n].T @ y[p + t - lag]
-        y[p + t] = row + shocks[t]
-    values = y[p + dgp.burn_in:]
-    start_serial = parse_quarter(dgp.start)
-    dates = [format_quarter(start_serial + i) for i in range(periods)]
+    block = _block_periods(n, p)
+    width = block * n
+    # tops[k] = top n rows of C^k: Psi_k = tops[k][:, :n], H_j = tops[j + 1]
+    comp = companion(dgp.B, dgp.var_spec)
+    tops = np.empty((block + 1, n, n * p))
+    tops[0] = np.eye(n, n * p)
+    for k in range(block):
+        tops[k + 1] = tops[k] @ comp
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    psi = tops[np.maximum(lag, 0), :, :n]  # [j, i] -> Psi_{j-i}
+    psi[lag < 0] = 0.0
+    # toeplitz[(i, s), (j, r)] = Psi_{j-i}[r, s], so a row of inputs times
+    # it gives the convolution part of every period of that block
+    toeplitz = psi.transpose(1, 3, 0, 2).reshape(width, width)
+    # heads[(j, r), (l, s)] = H_j[r, (p-1-l)*n + s]: H_j's lag blocks in time
+    # order, so the carried state is the previous block's last n*p values
+    heads = tops[1:].reshape(width, p, n)[:, ::-1].reshape(width, n * p)
+    n_blocks = -(-total // block)
+    u = np.zeros((n_blocks, width))
+    u.reshape(-1, n)[:total] = eta @ dgp.L.T + dgp.B[0]
+    y = np.empty_like(u)
+    rows = max(1, _PRODUCT_MACS // (width * width))
+    for first in range(0, n_blocks, rows):
+        np.matmul(u[first:first + rows], toeplitz, out=y[first:first + rows])
+    for k in range(1, n_blocks):
+        y[k] += heads @ y[k - 1, -n * p:]
+    values = y.reshape(-1, n)[dgp.burn_in:total]
+    dates = quarter_labels(parse_quarter(dgp.start), periods)
     panel = TimeSeriesPanel(dates=dates, names=list(dgp.names), values=values)
     return panel, eta[dgp.burn_in:]
 

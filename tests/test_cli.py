@@ -473,6 +473,14 @@ index:
         assert cli.main(["index", "--config", cfg]) == 3
         assert "data error: row 6: sigma_e must be > 0" in capsys.readouterr().err
 
+    def test_invalid_utf8_events_file_is_data_error(self, tmp_path, capsys):
+        # before: exit 4, "numerical error: 'utf-8' codec can't decode byte 0xff"
+        cfg = self.index_config(tmp_path)
+        with open(tmp_path / "events.csv", "ab") as fh:
+            fh.write(b"1999-05-01,firm\xff,1,0.01,1e9\n")
+        assert cli.main(["index", "--config", cfg]) == 3
+        assert "events.csv is not valid UTF-8" in capsys.readouterr().err
+
 
 class TestConfigAndExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
@@ -513,6 +521,13 @@ class TestConfigAndExitCodes:
             tmp_path / "c.yaml", "out: x\ndata: that_is_not_there.csv\nlags: 1\n"
         )
         assert cli.main(["estimate", "--config", cfg]) == 3
+
+    def test_invalid_utf8_panel_is_data_error(self, tmp_path, capsys):
+        # before: exit 4, "numerical error: 'utf-8' codec can't decode byte 0xff"
+        (tmp_path / "panel.csv").write_bytes(b"date,a\n1950Q1,1.0\n1950Q2,\xff\n")
+        cfg = write_yaml(tmp_path / "c.yaml", "out: x\ndata: panel.csv\nlags: 1\n")
+        assert cli.main(["estimate", "--config", cfg]) == 3
+        assert "panel.csv is not valid UTF-8" in capsys.readouterr().err
 
     def test_collinear_panel_is_numerical_error(self, tmp_path):
         rng = np.random.default_rng(0)

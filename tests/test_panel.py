@@ -14,6 +14,7 @@ from newsvar.panel import (
     format_quarter,
     load_panel,
     parse_quarter,
+    quarter_labels,
     quarter_range,
     write_panel,
 )
@@ -46,6 +47,139 @@ class TestQuarterArithmetic:
         assert quarter_range("1999Q3", "2000Q2") == [
             "1999Q3", "1999Q4", "2000Q1", "2000Q2",
         ]
+
+
+class TestQuarterLabels:
+    @pytest.mark.parametrize(
+        "start", ["1999Q1", "1999Q2", "1999Q3", "1999Q4", "9998Q3", "99999Q2"]
+    )
+    def test_equals_format_quarter(self, start):
+        first = parse_quarter(start)
+        for count in (0, 1, 2, 3, 4, 5, 8, 9, 41):
+            assert quarter_labels(first, count) == [
+                format_quarter(s) for s in range(first, first + count)
+            ]
+
+    def test_range_uses_canonical_labels(self):
+        assert quarter_range("09999Q4", " 10000Q2") == ["9999Q4", "10000Q1", "10000Q2"]
+
+
+def panel_of(dates):
+    return TimeSeriesPanel(dates=dates, names=["x"], values=np.zeros((len(dates), 1)))
+
+
+class TestDateValidation:
+    """Outcomes and messages of date validation, fixed before it gained a
+    fast path for canonical labels."""
+
+    @pytest.mark.parametrize(
+        "dates",
+        [
+            [" 1900Q1", "1900Q2", "1900Q3"],
+            ["01900Q1", "1900Q2"],
+            ["1900Q4", "01901Q1 ", "1901Q2"],
+            ["1900Q1", "1900Q2", "001900Q3"],
+        ],
+    )
+    def test_padded_and_zero_prefixed_labels_accepted(self, dates):
+        panel = panel_of(dates)
+        assert panel.dates == dates
+        first = parse_quarter(dates[0])
+        assert [parse_quarter(d) for d in panel.dates] == list(
+            range(first, first + len(dates))
+        )
+
+    def test_empty_panel_accepted(self):
+        assert panel_of([]).n_periods == 0
+
+    def test_duplicate_message(self):
+        with pytest.raises(DataError, match=r"^duplicate date 1961Q2$"):
+            panel_of(["1961Q1", "1961Q2", "1961Q2"])
+        with pytest.raises(DataError, match=r"^duplicate date 01961Q1$"):
+            panel_of(["1961Q1", "01961Q1"])
+
+    def test_gap_message(self):
+        with pytest.raises(
+            DataError, match=r"^gap in quarterly sequence between 1961Q1 and 1961Q3$"
+        ):
+            panel_of(["1960Q4", "1961Q1", "1961Q3"])
+        with pytest.raises(
+            DataError, match=r"^gap in quarterly sequence between 1961Q4 and  1962Q2$"
+        ):
+            panel_of([" 1961Q4", " 1962Q2"])
+
+    def test_out_of_order_rejected(self):
+        with pytest.raises(
+            DataError, match=r"^gap in quarterly sequence between 1961Q2 and 1961Q1$"
+        ):
+            panel_of(["1961Q2", "1961Q1"])
+
+    def test_bad_label_after_good_start_rejected(self):
+        with pytest.raises(DataError, match="unparseable quarterly date '1961-03'"):
+            panel_of(["1961Q1", "1961-03"])
+        with pytest.raises(DataError, match="unparseable"):
+            panel_of(["1961Q5", "1962Q1"])
+
+    def test_short_or_long_date_list_rejected(self):
+        dates = ["1961Q1", "1961Q2"]
+        with pytest.raises(DataError, match="^2 dates for 3 rows$"):
+            TimeSeriesPanel(dates=dates, names=["x"], values=np.zeros((3, 1)))
+        with pytest.raises(DataError, match="^2 dates for 1 rows$"):
+            TimeSeriesPanel(dates=dates, names=["x"], values=np.zeros((1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.integers(min_value=4, max_value=4 * 99999),
+    count=st.integers(min_value=1, max_value=14),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["pad", "zero", "swap", "repeat", "drop", "garble"]),
+            st.integers(min_value=0, max_value=13),
+        ),
+        max_size=3,
+    ),
+)
+def test_validation_matches_label_by_label_reference(first, count, edits):
+    # the reference is the label-by-label check: every input it accepts is
+    # accepted, and every input it rejects fails with its message
+    dates = [format_quarter(s) for s in range(first, first + count)]
+    for kind, at in edits:
+        i = at % len(dates)
+        if kind == "pad":
+            dates[i] = f" {dates[i]}"
+        elif kind == "zero":
+            dates[i] = f"0{dates[i].strip()}"
+        elif kind == "swap" and i + 1 < len(dates):
+            dates[i], dates[i + 1] = dates[i + 1], dates[i]
+        elif kind == "repeat" and i + 1 < len(dates):
+            dates[i + 1] = dates[i]
+        elif kind == "drop" and len(dates) > 1:
+            del dates[i]
+        elif kind == "garble":
+            dates[i] = dates[i].replace("Q", "-")
+
+    def reference():
+        serials = [parse_quarter(d) for d in dates]
+        for prev, cur, label in zip(serials, serials[1:], dates[1:]):
+            if cur == prev:
+                raise DataError(f"duplicate date {label}")
+            if cur != prev + 1:
+                raise DataError(
+                    f"gap in quarterly sequence between {format_quarter(prev)} and {label}"
+                )
+
+    try:
+        reference()
+        expected = None
+    except DataError as exc:
+        expected = str(exc)
+    try:
+        panel_of(dates)
+        got = None
+    except DataError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 class TestLoadPanel:
@@ -93,6 +227,12 @@ class TestLoadPanel:
     def test_bad_date(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "date,x\n1961-01,1.0\n")
         with pytest.raises(DataError, match="unparseable"):
+            load_panel(path)
+
+    def test_invalid_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,x\n1961Q1,1.0\n1961Q2,\xff\n")
+        with pytest.raises(DataError, match=r"p\.csv is not valid UTF-8"):
             load_panel(path)
 
     def test_missing_date_column(self, tmp_path):

@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from newsvar.bvar import PosteriorDraw, build_regressors, ols_estimate
+from newsvar.errors import DataError
+from newsvar.panel import format_quarter, parse_quarter
 from newsvar.structural import compute_irf
-from newsvar.synth import Dgp, simulate_var, true_irf
+from newsvar.synth import Dgp, _block_periods, simulate_var, true_irf
 
 
 def pure_noise_dgp(n=2, seed=0):
@@ -55,6 +57,103 @@ class TestSimulateVar:
     def test_zero_periods_rejected(self):
         with pytest.raises(ValueError, match="periods"):
             simulate_var(pure_noise_dgp(), 0)
+
+
+def loop_simulate(dgp, periods):
+    """The per-period recursion the blocked simulator replaces: one step and
+    one small product per lag for every period, from a zero pre-sample."""
+    n, p = dgp.n_vars, dgp.lags
+    intercept = dgp.B[0]
+    coefs = dgp.B[1:]
+    rng = np.random.default_rng(dgp.seed)
+    total = dgp.burn_in + periods
+    eta = rng.standard_normal((total, n))
+    shocks = eta @ dgp.L.T
+    y = np.zeros((total + p, n))
+    for t in range(total):
+        row = intercept.copy()
+        for lag in range(1, p + 1):
+            row += coefs[(lag - 1) * n: lag * n].T @ y[p + t - lag]
+        y[p + t] = row + shocks[t]
+    start = parse_quarter(dgp.start)
+    dates = [format_quarter(start + i) for i in range(periods)]
+    return y[p + dgp.burn_in:], eta[dgp.burn_in:], dates
+
+
+def stable_dgp(n, p, seed, burn_in):
+    """Random VAR(p) with an intercept and a correlated impact matrix,
+    redrawn until the companion spectral radius is below 0.95."""
+    rng = np.random.default_rng(seed)
+    while True:
+        lags = rng.normal(scale=0.6 / np.sqrt(n * p), size=(n * p, n))
+        lower = np.tril(rng.normal(scale=0.3, size=(n, n)), k=-1) + np.diag(
+            rng.uniform(0.5, 1.5, size=n)
+        )
+        dgp = Dgp(
+            B=np.vstack([rng.normal(size=(1, n)), lags]),
+            L=lower,
+            burn_in=burn_in,
+            seed=seed,
+            start="1987Q3",
+        )
+        if dgp.spectral_radius < 0.95:
+            return dgp
+
+
+def block_totals(n, p):
+    """(burn_in, periods) pairs whose totals fall short of one block, are
+    not a multiple of the block, and are an exact multiple of it."""
+    block = _block_periods(n, p)
+    return [
+        (0, 1),
+        (0, block - 1),
+        (3, block - 4),
+        (0, 3 * block + 5),
+        (block + 1, 2 * block),
+        (0, 4 * block),
+        (2 * block, block),
+    ]
+
+
+class TestBlockedSimulatorOracle:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_matches_per_period_loop(self, n, p):
+        for case, (burn_in, periods) in enumerate(block_totals(n, p)):
+            dgp = stable_dgp(n, p, seed=100 * n + 10 * p + case, burn_in=burn_in)
+            want, eta_want, dates_want = loop_simulate(dgp, periods)
+            panel, eta = simulate_var(dgp, periods)
+            scale = np.abs(want).max()
+            assert np.abs(panel.values - want).max() <= 1e-12 * scale
+            assert_array_equal(eta, eta_want)
+            assert panel.dates == dates_want
+
+    @pytest.mark.parametrize("rho", [0.999, -0.95])
+    def test_persistent_ar1_matches_loop(self, rho):
+        dgp = Dgp(B=np.array([[0.3], [rho]]), L=np.array([[0.7]]), burn_in=37, seed=9)
+        want, eta_want, _ = loop_simulate(dgp, 5000)
+        panel, eta = simulate_var(dgp, 5000)
+        assert np.abs(panel.values - want).max() <= 1e-12 * np.abs(want).max()
+        assert_array_equal(eta, eta_want)
+
+    def test_lag_order_above_block_length(self):
+        # many variables shorten the block; it never drops below p, the
+        # number of periods the carried state needs
+        n, p = 130, 5
+        assert _block_periods(n, p) == p
+        b = np.zeros((1 + n * p, n))
+        b[1 + (p - 1) * n:, :] = 0.5 * np.eye(n)
+        dgp = Dgp(B=b, L=np.eye(n), burn_in=3, seed=4)
+        want, eta_want, _ = loop_simulate(dgp, 4 * p + 2)
+        panel, eta = simulate_var(dgp, 4 * p + 2)
+        assert np.abs(panel.values - want).max() <= 1e-12 * np.abs(want).max()
+        assert_array_equal(eta, eta_want)
+
+    def test_explosive_dgp_overflow_is_data_error(self):
+        dgp = Dgp(B=np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 0.5]]), L=np.eye(2), burn_in=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="non-finite value"):
+                simulate_var(dgp, 1000)
 
 
 class TestDgpValidation:
