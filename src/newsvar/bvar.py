@@ -167,6 +167,11 @@ def build_regressors(panel: TimeSeriesPanel, spec: VarSpec) -> tuple[np.ndarray,
 
 
 def _check_full_rank(x: np.ndarray, what: str = "X") -> None:
+    """NumericalError unless x has full column rank (tolerance _RANK_RTOL)."""
+    if x.shape[0] < x.shape[1]:
+        raise NumericalError(
+            f"rank-deficient {what}: {x.shape[0]} rows < {x.shape[1]} columns"
+        )
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
         cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
@@ -186,10 +191,6 @@ def ols_estimate(y: np.ndarray, x: np.ndarray) -> OlsFit:
         x = x[:, None]
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"Y has {y.shape[0]} rows but X has {x.shape[0]}")
-    if x.shape[0] < x.shape[1]:
-        raise NumericalError(
-            f"rank-deficient X: {x.shape[0]} rows < {x.shape[1]} columns"
-        )
     _check_full_rank(x)
     b, *_ = np.linalg.lstsq(x, y, rcond=None)
     residuals = y - x @ b

@@ -44,8 +44,11 @@ from .panel import (
     TimeSeriesPanel,
     align_range,
     apply_transforms,
+    format_quarter,
     load_panel,
     parse_quarter,
+    write_csv,
+    write_json,
     write_panel,
 )
 from .patentval import (
@@ -227,6 +230,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"draws must be >= 1, got {config.draws}")
     if config.lags < 1:
         raise ConfigError(f"lags must be >= 1, got {config.lags}")
+    if len(set(config.variables)) != len(config.variables):
+        raise ConfigError(f"variables list contains duplicates: {config.variables}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.prior.kind not in ("flat", "minnesota"):
@@ -273,12 +278,6 @@ def _hash_payload(payload: dict) -> str:
     ).hexdigest()
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
     manifest = {
         "command": command,
@@ -292,7 +291,7 @@ def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
         },
     }
     path = out / "manifest.json"
-    _write_json(manifest, path)
+    write_json(manifest, path)
     return path
 
 
@@ -327,6 +326,9 @@ def _prior_spec(config: RunConfig) -> PriorSpec:
 
 def _fit(config: RunConfig, panel: TimeSeriesPanel) -> tuple[VarSpec, OlsFit]:
     spec = _var_spec(config, panel)
+    n, nu0 = len(spec.order), config.prior.nu0
+    if config.prior.kind == "minnesota" and nu0 is not None and nu0 < n + 2:
+        raise ConfigError(f"prior nu0 must be >= n+2 = {n + 2} for {n} variables, got {nu0}")
     y, x = build_regressors(panel, spec)
     return spec, ols_estimate(y, x)
 
@@ -357,7 +359,7 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
     np.save(paths["coefficients"], draws.B)
     np.save(paths["covariances"], draws.Sigma)
     np.save(paths["stable"], draws.stable)
-    _write_json(
+    write_json(
         {
             "spec_hash": _spec_key(spec),
             "prior_hash": _prior_key(prior),
@@ -491,11 +493,12 @@ def cmd_decompose(config: RunConfig, out: Path) -> dict[str, Path]:
     )
     common_std = standardize_shock(dec.common)
     idio_std = standardize_shock(dec.idiosyncratic)
-    with open(paths["shocks"], "w", encoding="utf-8") as fh:
-        fh.write("date,common_std,idiosyncratic_std\n")
-        for i, date in enumerate(dates):
-            fh.write(f"{date},{float(common_std[i])!r},{float(idio_std[i])!r}\n")
-    _write_json(
+    write_csv(
+        paths["shocks"],
+        ["date", "common_std", "idiosyncratic_std"],
+        zip(dates, common_std.tolist(), idio_std.tolist()),
+    )
+    write_json(
         {
             "gamma": dec.gamma,
             "r2": dec.r2,
@@ -509,11 +512,6 @@ def cmd_decompose(config: RunConfig, out: Path) -> dict[str, Path]:
     return paths
 
 
-def _read_shock_series(path, column: str) -> tuple[list[str], np.ndarray]:
-    shock_panel = load_panel(path)
-    return shock_panel.dates, shock_panel.column(column)
-
-
 def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
     if config.lp is None:
         raise ConfigError("lp command requires an 'lp' config block")
@@ -525,54 +523,36 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
     for name in config.lp.outcomes:
         if name not in panel.names:
             raise ConfigError(f"lp outcome {name!r} not in panel")
-    shock_dates, shock = _read_shock_series(config.lp.shock_file, config.lp.shock_column)
-    panel_serials = [parse_quarter(d) for d in panel.dates]
-    shock_serials = [parse_quarter(d) for d in shock_dates]
-    common = sorted(set(panel_serials) & set(shock_serials))
-    if not common:
+    shocks = load_panel(config.lp.shock_file)
+    # Both panels are gap-free, so their overlap is one quarterly range.
+    first = max(parse_quarter(panel.dates[0]), parse_quarter(shocks.dates[0]))
+    last = min(parse_quarter(panel.dates[-1]), parse_quarter(shocks.dates[-1]))
+    if first > last:
         raise DataError("panel and shock series share no dates")
-    if common != list(range(common[0], common[-1] + 1)):
-        raise DataError("overlap of panel and shock dates has quarterly gaps")
-    p_idx = [panel_serials.index(s) for s in common]
-    s_idx = [shock_serials.index(s) for s in common]
-    shock = shock[s_idx]
-    dates = [panel.dates[i] for i in p_idx]
+    span = format_quarter(first), format_quarter(last)
+    panel = align_range(panel, *span)
+    shock = align_range(shocks, *span).column(config.lp.shock_column)
 
     dummy = None
     if config.lp.breakpoint is not None:
         cut = parse_quarter(config.lp.breakpoint)
-        dummy = np.array([1.0 if s > cut else 0.0 for s in common])
+        dummy = (np.arange(first, last + 1) > cut).astype(float)
 
     paths: dict[str, Path] = {}
     for outcome in config.lp.outcomes:
-        y = panel.values[p_idx, panel.names.index(outcome)]
+        y = panel.column(outcome)
+        title = f"{outcome} response to {config.lp.shock_column}"
         if dummy is None:
-            result = lp_irf(y, shock, config.horizon)
-            center, lo, hi = (
-                result.beta,
-                result.beta - config.lp.band_se * result.se,
-                result.beta + config.lp.band_se * result.se,
-            )
-            svg = line_band_svg(
-                result.horizons,
-                center,
-                lo,
-                hi,
-                title=f"{outcome} response to {config.lp.shock_column}",
-                ylabel=outcome,
-            )
+            result = shown = lp_irf(y, shock, config.horizon)
         else:
             result = lp_irf_state(y, shock, dummy, config.horizon)
             result.dummy_name = f"after {config.lp.breakpoint}"
-            post = result.post
-            svg = line_band_svg(
-                post.horizons,
-                post.beta,
-                post.beta - config.lp.band_se * post.se,
-                post.beta + config.lp.band_se * post.se,
-                title=f"{outcome} response to {config.lp.shock_column} (post regime)",
-                ylabel=outcome,
-            )
+            shown, title = result.post, title + " (post regime)"
+        band = config.lp.band_se * shown.se
+        svg = line_band_svg(
+            shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
+            title=title, ylabel=outcome,
+        )
         csv_path = out / f"lp_{outcome}.csv"
         json_path = out / f"lp_{outcome}.json"
         svg_path = out / f"lp_{outcome}.svg"
@@ -582,10 +562,9 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
         paths[f"csv_{outcome}"] = csv_path
         paths[f"json_{outcome}"] = json_path
         paths[f"svg_{outcome}"] = svg_path
-    mapping_note = {"dates_used": dates, "shock_column": config.lp.shock_column}
-    note_path = out / "lp_sample.json"
-    _write_json(mapping_note, note_path)
-    paths["sample"] = note_path
+    paths["sample"] = out / "lp_sample.json"
+    sample = {"dates_used": panel.dates, "shock_column": config.lp.shock_column}
+    write_json(sample, paths["sample"])
     return paths
 
 
@@ -618,7 +597,7 @@ def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
             "mean_ratio": None,
             "note": str(exc),
         }
-    _write_json(payload, paths["stats"])
+    write_json(payload, paths["stats"])
     return paths
 
 
@@ -647,12 +626,12 @@ def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
         "dgp": out / "dgp.json",
     }
     write_panel(panel, paths["panel"], date_column=config.date_column)
-    with open(paths["shocks"], "w", encoding="utf-8") as fh:
-        fh.write("date," + ",".join(f"shock_{n}" for n in panel.names) + "\n")
-        for i, date in enumerate(panel.dates):
-            cells = ",".join(repr(float(v)) for v in eta[i])
-            fh.write(f"{date},{cells}\n")
-    _write_json(
+    write_csv(
+        paths["shocks"],
+        ["date", *(f"shock_{name}" for name in panel.names)],
+        ([date, *row] for date, row in zip(panel.dates, eta.tolist())),
+    )
+    write_json(
         {
             "spectral_radius": dgp.spectral_radius,
             "n_vars": dgp.n_vars,

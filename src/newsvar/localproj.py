@@ -6,19 +6,20 @@ of the sample is dropped, never padded. Because the overlapping long
 differences induce MA(h) errors, the HAC truncation lag is h+1 at horizon h.
 The state-dependent variant interacts both regressors with a 0/1 regime
 dummy dated at the shock, with no common intercept, which reproduces
-split-sample point estimates exactly.
+split-sample point estimates exactly. Both variants run one per-horizon
+regression on [w, w*shock] for each regime weight w: a column of ones
+when pooled, D and 1-D when regime-split.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-
-_RANK_RTOL = 1e-10
+from .bvar import _check_full_rank
+from .errors import DataError
+from .panel import write_csv, write_json
 
 
 @dataclass
@@ -61,9 +62,7 @@ def newey_west(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
         raise ValueError(f"truncation lag must be >= 0, got {lag}")
     if lag >= t:
         raise ValueError(f"truncation lag {lag} must be < T = {t}")
-    sv = np.linalg.svd(x, compute_uv=False)
-    if x.shape[0] < x.shape[1] or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise NumericalError("rank-deficient regressor matrix in HAC estimator")
+    _check_full_rank(x, "regressor matrix in HAC estimator")
     scores = x * u[:, None]
     meat = scores.T @ scores
     for ell in range(1, lag + 1):
@@ -73,50 +72,66 @@ def newey_west(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
     return bread @ meat @ bread
 
 
-def _usable(y: np.ndarray, shock: np.ndarray, h: int):
-    """Long difference and shock aligned over all usable t for horizon h."""
+def _series(*series) -> list[np.ndarray]:
+    """The series as flat float arrays of one common length."""
+    series = [np.asarray(x, dtype=float).ravel() for x in series]
+    if len({x.shape[0] for x in series}) > 1:
+        lengths = " vs ".join(str(x.shape[0]) for x in series)
+        raise ValueError(f"series length mismatch: {lengths}")
+    return series
+
+
+def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
+    """One result per regime of ``regimes``, pairs of a label and a 0/1
+    weight series dated at the shock. At each horizon the long difference is
+    regressed on [w, w*shock] for every weight w, with no other regressor."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    # ptp, not var: the mean of a constant series can round, so its
+    # variance need not be exactly zero
+    if np.ptp(shock) == 0.0:
+        raise DataError("constant shock series")
     t = y.shape[0]
-    n_obs = t - 1 - h
-    lhs = y[1 + h:] - y[: n_obs]
-    s = shock[1: t - h]
-    return lhs, s, n_obs
-
-
-def _check_horizon_sample(n_obs: int, h: int) -> None:
-    # The HAC lag h+1 must also fit inside the usable sample.
-    if n_obs < 3 or h + 1 >= n_obs:
-        raise DataError(f"too few usable observations at horizon {h} (n={n_obs})")
+    shape = (len(regimes), horizon + 1)
+    alpha, beta, se = np.empty(shape), np.empty(shape), np.empty(shape)
+    n_obs = np.empty(shape, dtype=int)
+    for h in range(horizon + 1):
+        n_h = t - 1 - h
+        # The HAC lag h+1 must also fit inside the usable sample.
+        if n_h < 3 or h + 1 >= n_h:
+            raise DataError(f"too few usable observations at horizon {h} (n={n_h})")
+        lhs = y[1 + h:] - y[:n_h]
+        s = shock[1: t - h]
+        columns = []
+        for r, (label, weight) in enumerate(regimes):
+            w = weight[1: t - h]
+            rows = w == 1.0
+            n_obs[r, h] = np.count_nonzero(rows)
+            if n_obs[r, h] < 3:
+                raise DataError(
+                    f"regime {label} has too few usable observations "
+                    f"at horizon {h} (n={n_obs[r, h]})"
+                )
+            if np.ptp(s[rows]) == 0.0:
+                raise DataError(
+                    f"constant shock over the usable sample of regime {label} at horizon {h}"
+                )
+            columns += (w, w * s)
+        x = np.column_stack(columns)
+        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
+        cov = newey_west(x, lhs - x @ coef, h + 1)
+        alpha[:, h], beta[:, h] = coef[0::2], coef[1::2]
+        se[:, h] = np.sqrt(np.diag(cov)[1::2])
+    return [
+        LocalProjectionResult(np.arange(horizon + 1), *fields)
+        for fields in zip(alpha, beta, se, n_obs)
+    ]
 
 
 def lp_irf(y: np.ndarray, shock: np.ndarray, horizon: int) -> LocalProjectionResult:
     """Local-projection responses of y to the shock over horizons 0..horizon."""
-    y = np.asarray(y, dtype=float).ravel()
-    shock = np.asarray(shock, dtype=float).ravel()
-    if y.shape[0] != shock.shape[0]:
-        raise ValueError(f"series length mismatch: {y.shape[0]} vs {shock.shape[0]}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if np.var(shock) == 0.0:
-        raise DataError("constant shock series")
-    alpha = np.empty(horizon + 1)
-    beta = np.empty(horizon + 1)
-    se = np.empty(horizon + 1)
-    n_obs = np.empty(horizon + 1, dtype=int)
-    for h in range(horizon + 1):
-        lhs, s, n_h = _usable(y, shock, h)
-        _check_horizon_sample(n_h, h)
-        if np.var(s) == 0.0:
-            raise DataError(f"constant shock over the usable sample at horizon {h}")
-        x = np.column_stack([np.ones(n_h), s])
-        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
-        resid = lhs - x @ coef
-        cov = newey_west(x, resid, h + 1)
-        alpha[h], beta[h] = coef
-        se[h] = np.sqrt(cov[1, 1])
-        n_obs[h] = n_h
-    return LocalProjectionResult(
-        horizons=np.arange(horizon + 1), alpha=alpha, beta=beta, se=se, n_obs=n_obs
-    )
+    y, shock = _series(y, shock)
+    return _project(y, shock, [("all", np.ones(y.shape[0]))], horizon)[0]
 
 
 def lp_irf_state(
@@ -128,58 +143,28 @@ def lp_irf_state(
     and no common intercept; point estimates coincide with split-sample
     regressions because the two regressor blocks are orthogonal.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    shock = np.asarray(shock, dtype=float).ravel()
-    dummy = np.asarray(dummy, dtype=float).ravel()
-    if not (y.shape[0] == shock.shape[0] == dummy.shape[0]):
-        raise ValueError("series length mismatch")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    y, shock, dummy = _series(y, shock, dummy)
     bad = np.setdiff1d(np.unique(dummy), [0.0, 1.0])
     if bad.size:
         raise DataError(f"dummy must be 0/1, found value {bad[0]!r}")
-    if np.var(shock) == 0.0:
-        raise DataError("constant shock series")
-
-    shape = (horizon + 1,)
-    results = {
-        regime: {
-            "alpha": np.empty(shape),
-            "beta": np.empty(shape),
-            "se": np.empty(shape),
-            "n_obs": np.empty(shape, dtype=int),
-        }
-        for regime in (0, 1)
-    }
-    for h in range(horizon + 1):
-        lhs, s, n_h = _usable(y, shock, h)
-        _check_horizon_sample(n_h, h)
-        d = dummy[1: y.shape[0] - h]
-        n_post = int(d.sum())
-        n_pre = n_h - n_post
-        for regime, count in ((0, n_pre), (1, n_post)):
-            if count < 3:
-                raise DataError(
-                    f"regime {regime} has too few usable observations "
-                    f"at horizon {h} (n={count})"
-                )
-        x = np.column_stack([d, d * s, 1.0 - d, (1.0 - d) * s])
-        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
-        resid = lhs - x @ coef
-        cov = newey_west(x, resid, h + 1)
-        results[1]["alpha"][h], results[1]["beta"][h] = coef[0], coef[1]
-        results[0]["alpha"][h], results[0]["beta"][h] = coef[2], coef[3]
-        results[1]["se"][h] = np.sqrt(cov[1, 1])
-        results[0]["se"][h] = np.sqrt(cov[3, 3])
-        results[1]["n_obs"][h] = n_post
-        results[0]["n_obs"][h] = n_pre
-
-    horizons = np.arange(horizon + 1)
-    pre, post = (
-        LocalProjectionResult(horizons=horizons.copy(), **results[regime])
-        for regime in (0, 1)
-    )
+    post, pre = _project(y, shock, [(1, dummy), (0, 1.0 - dummy)], horizon)
     return StateLpResult(pre=pre, post=post)
+
+
+def _regimes(result) -> list[tuple[str, LocalProjectionResult]]:
+    if isinstance(result, StateLpResult):
+        return [("pre", result.pre), ("post", result.post)]
+    return [("all", result)]
+
+
+def _columns(res: LocalProjectionResult) -> dict[str, list]:
+    return {
+        "horizons": [int(h) for h in res.horizons],
+        "alpha": [float(v) for v in res.alpha],
+        "beta": [float(v) for v in res.beta],
+        "se": [float(v) for v in res.se],
+        "n_obs": [int(v) for v in res.n_obs],
+    }
 
 
 def lp_to_csv(result, path) -> None:
@@ -188,39 +173,16 @@ def lp_to_csv(result, path) -> None:
     Accepts a LocalProjectionResult (regime written as ``all``) or a
     StateLpResult (one block per regime).
     """
-    blocks: list[tuple[str, LocalProjectionResult]]
-    if isinstance(result, StateLpResult):
-        blocks = [("pre", result.pre), ("post", result.post)]
-    else:
-        blocks = [("all", result)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("horizon,beta,se,n_obs,regime\n")
-        for regime, block in blocks:
-            for i, h in enumerate(block.horizons):
-                fh.write(
-                    f"{int(h)},{float(block.beta[i])!r},{float(block.se[i])!r},"
-                    f"{int(block.n_obs[i])},{regime}\n"
-                )
+    rows = []
+    for regime, res in _regimes(result):
+        c = _columns(res)
+        rows += ([*cells, regime] for cells in zip(c["horizons"], c["beta"], c["se"], c["n_obs"]))
+    write_csv(path, ["horizon", "beta", "se", "n_obs", "regime"], rows)
 
 
 def lp_to_json(result, path, band_se: float = 1.0) -> None:
-    def block(res: LocalProjectionResult) -> dict:
-        return {
-            "horizons": [int(h) for h in res.horizons],
-            "alpha": [float(v) for v in res.alpha],
-            "beta": [float(v) for v in res.beta],
-            "se": [float(v) for v in res.se],
-            "n_obs": [int(v) for v in res.n_obs],
-        }
-
+    payload = {"regimes": {regime: _columns(res) for regime, res in _regimes(result)}}
     if isinstance(result, StateLpResult):
-        payload = {
-            "regimes": {"pre": block(result.pre), "post": block(result.post)},
-            "dummy": result.dummy_name,
-        }
-    else:
-        payload = {"regimes": {"all": block(result)}}
+        payload["dummy"] = result.dummy_name
     payload["band_se_multiple"] = band_se
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(payload, path)

@@ -9,6 +9,7 @@ downstream VAR requires a balanced panel.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from contextlib import contextmanager
@@ -70,6 +71,25 @@ def open_input(path, kind: str):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{kind} file {path} is not valid UTF-8: {exc.reason}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: UTF-8, LF line ends, minimal quoting (a cell
+    holding a comma, a quote or a line feed is quoted, so such names read
+    back), and each float as its ``repr``, which reads back to the same
+    double."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(payload, path) -> None:
+    """Write a JSON artifact: UTF-8, sorted keys, one-space indent and a
+    trailing newline, so equal payloads give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 @dataclass
@@ -178,10 +198,8 @@ def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
 
 def write_panel(panel: TimeSeriesPanel, path, date_column: str = "date") -> None:
     """Write a panel CSV that round-trips through load_panel at full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([date_column] + list(panel.names)) + "\n")
-        for date, row in zip(panel.dates, panel.values):
-            fh.write(",".join([date] + [repr(float(x)) for x in row]) + "\n")
+    rows = ([date, *row] for date, row in zip(panel.dates, panel.values.tolist()))
+    write_csv(path, [date_column, *panel.names], rows)
 
 
 def apply_transforms(panel: TimeSeriesPanel, spec: dict[str, str]) -> TimeSeriesPanel:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
-from .panel import format_quarter, open_input, parse_quarter, quarter_range
+from .panel import format_quarter, open_input, parse_quarter, quarter_range, write_csv
 
 _REQUIRED = ("grant_date", "firm_id", "green", "window_return", "market_cap")
 # Data rows converted per block by load_events; bounds how many per-cell
@@ -400,7 +400,5 @@ def load_events(path) -> PatentEvents:
 def write_index(idx: InnovationIndex, path, date_column: str = "date") -> None:
     """Index CSV in the panel loader's format: date column plus gpbii and
     ngpbii, so the output feeds straight into the VAR pipeline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{date_column},gpbii,ngpbii\n")
-        for i, date in enumerate(idx.dates):
-            fh.write(f"{date},{float(idx.gpbii[i])!r},{float(idx.ngpbii[i])!r}\n")
+    rows = zip(idx.dates, idx.gpbii.tolist(), idx.ngpbii.tolist())
+    write_csv(path, [date_column, "gpbii", "ngpbii"], rows)

@@ -10,13 +10,13 @@ construction) and the orthogonal remainder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, companion
 from .errors import NumericalError
+from .panel import write_csv, write_json
 
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
 
@@ -286,16 +286,14 @@ def standardize_shock(series: np.ndarray) -> np.ndarray:
 
 def irf_to_csv(irfs: IrfSet, path) -> None:
     """Long-format summary: shock, variable, horizon, lower, median, upper."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("shock,variable,horizon,lower,median,upper\n")
-        for j, shock in enumerate(irfs.shocks):
-            for i, variable in enumerate(irfs.variables):
-                for h in irfs.horizons:
-                    fh.write(
-                        f"{shock},{variable},{int(h)},"
-                        f"{float(irfs.lower[h, i, j])!r},{float(irfs.median[h, i, j])!r},"
-                        f"{float(irfs.upper[h, i, j])!r}\n"
-                    )
+    bands = np.stack([irfs.lower, irfs.median, irfs.upper], axis=-1).tolist()
+    rows = (
+        [shock, variable, int(h), *bands[h][i][j]]
+        for j, shock in enumerate(irfs.shocks)
+        for i, variable in enumerate(irfs.variables)
+        for h in irfs.horizons
+    )
+    write_csv(path, ["shock", "variable", "horizon", "lower", "median", "upper"], rows)
 
 
 def irf_to_json(irfs: IrfSet, path) -> None:
@@ -308,9 +306,7 @@ def irf_to_json(irfs: IrfSet, path) -> None:
         "median": irfs.median.tolist(),
         "upper": irfs.upper.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def decomposition_to_csv(
@@ -324,10 +320,6 @@ def decomposition_to_csv(
 ) -> None:
     if not (len(dates) == reference.shape[0] == target.shape[0] == dec.common.shape[0]):
         raise ValueError("dates and series lengths disagree")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"date,resid_{reference_name},resid_{target_name},common,idiosyncratic\n")
-        for i, date in enumerate(dates):
-            fh.write(
-                f"{date},{float(reference[i])!r},{float(target[i])!r},"
-                f"{float(dec.common[i])!r},{float(dec.idiosyncratic[i])!r}\n"
-            )
+    header = ["date", f"resid_{reference_name}", f"resid_{target_name}", "common", "idiosyncratic"]
+    columns = (reference, target, dec.common, dec.idiosyncratic)
+    write_csv(path, header, zip(dates, *(np.asarray(c, dtype=float).tolist() for c in columns)))

@@ -394,6 +394,28 @@ lp:
         assert len(rows) == 7
         assert (out / "lp_outcome.svg").exists()
 
+    def test_overlap_of_offset_panels_is_used(self, tmp_path):
+        # the shock file starts 3 quarters late and the panel ends 5 early
+        cfg = self.lp_config(tmp_path, "  breakpoint: 1990Q4")
+        shocks = (tmp_path / "shocks.csv").read_text().splitlines()
+        (tmp_path / "shocks.csv").write_text("\n".join(shocks[:1] + shocks[4:]) + "\n")
+        panel = (tmp_path / "panel.csv").read_text().splitlines()
+        (tmp_path / "panel.csv").write_text("\n".join(panel[:-5]) + "\n")
+        assert cli.main(["lp", "--config", cfg]) == 0
+        sample = json.loads((tmp_path / "lpout" / "lp_sample.json").read_text())
+        assert sample["dates_used"] == [row.split(",")[0] for row in panel[4:-5]]
+        payload = json.loads((tmp_path / "lpout" / "lp_outcome.json").read_text())
+        # 1950Q4..2008Q3 is 232 quarters, 71 of them after 1990Q4
+        assert payload["regimes"]["post"]["n_obs"][0] == 71
+        assert payload["regimes"]["pre"]["n_obs"][0] == 232 - 1 - 71
+
+    def test_disjoint_dates_are_data_error(self, tmp_path, capsys):
+        cfg = self.lp_config(tmp_path)
+        text = (tmp_path / "shocks.csv").read_text().replace("19", "29").replace("20", "30")
+        (tmp_path / "shocks.csv").write_text(text)
+        assert cli.main(["lp", "--config", cfg]) == 3
+        assert "share no dates" in capsys.readouterr().err
+
     def test_breakpoint_writes_both_regimes(self, tmp_path):
         cfg = self.lp_config(tmp_path, "  breakpoint: 1990Q4")
         assert cli.main(["lp", "--config", cfg]) == 0
@@ -542,6 +564,28 @@ class TestConfigAndExitCodes:
             "out: x\ndata: panel.csv\nlags: 1\nprior: {kind: flat}\ndraws: 5\n",
         )
         assert cli.main(["estimate", "--config", cfg]) == 4
+
+    def three_variable_config(self, tmp_path, extra):
+        TestPosteriorArtifact().write_panel(tmp_path)
+        return write_yaml(
+            tmp_path / "c.yaml", "out: x\ndata: panel.csv\nlags: 1\ndraws: 5\n" + extra
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "irf", "decompose"])
+    def test_duplicate_variables_are_config_error(self, tmp_path, capsys, command):
+        # before: exit 4, "numerical error: variable order contains duplicates"
+        cfg = self.three_variable_config(tmp_path, "variables: [a, b, a]\n")
+        assert cli.main([command, "--config", cfg]) == 2
+        assert "variables list contains duplicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose"])
+    def test_nu0_below_n_plus_2_is_config_error(self, tmp_path, capsys, command):
+        # before: exit 4, "numerical error: nu0 must be >= n+2 = 5"
+        cfg = self.three_variable_config(
+            tmp_path, "prior: {nu0: 1.0}\ndecompose: {reference: a, target: b}\n"
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        assert "nu0 must be >= n+2 = 5" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path):
         sim_cfg = write_yaml(tmp_path / "sim.yaml", SIMULATE_YAML)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from newsvar.errors import DataError, NumericalError
-from newsvar.localproj import lp_irf, lp_irf_state, newey_west
+from newsvar.localproj import LocalProjectionResult, lp_irf, lp_irf_state, newey_west
 from newsvar.structural import standardize_shock
 from newsvar.synth import Dgp, simulate_var, true_irf
 
@@ -91,6 +91,21 @@ class TestNeweyWest:
         with pytest.raises(NumericalError, match="rank"):
             newey_west(x, rng.normal(size=20), 2)
 
+    @pytest.mark.parametrize(
+        "make_x",
+        [
+            lambda base: np.column_stack([np.ones(20), base, 3.0 * base - 1.0]),
+            lambda base: np.zeros((20, 2)),
+            lambda base: base.reshape(4, 5),
+        ],
+        ids=["collinear", "zero", "fewer-rows-than-columns"],
+    )
+    def test_rank_deficient_message(self, make_x):
+        x = make_x(np.random.default_rng(17).normal(size=20))
+        u = np.ones(x.shape[0])
+        with pytest.raises(NumericalError, match="rank-deficient regressor matrix in HAC"):
+            newey_west(x, u, 1)
+
 
 class TestLpIrf:
     def test_contemporaneous_unit_effect(self):
@@ -102,6 +117,16 @@ class TestLpIrf:
     def test_constant_shock_rejected(self):
         with pytest.raises(DataError, match="constant shock"):
             lp_irf(np.arange(10.0), np.zeros(10), 2)
+
+    def test_shock_constant_over_usable_sample_names_horizon(self):
+        # the first shock is never used: the long difference starts at t=1;
+        # np.var of a constant 0.1 series is not exactly zero (before:
+        # NumericalError from the HAC rank check)
+        y = np.arange(20.0) ** 2
+        with pytest.raises(DataError, match="constant shock .*regime all at horizon 0"):
+            lp_irf(y, np.r_[4.0, np.full(19, 0.1)], 2)
+        with pytest.raises(DataError, match="constant shock series"):
+            lp_irf(y, np.full(20, 0.1), 2)
 
     def test_h0_on_ten_points_uses_nine_observations(self):
         rng = np.random.default_rng(6)
@@ -193,9 +218,145 @@ class TestLpIrfState:
                 assert abs(res.alpha[h] - coef[0]) < 1e-10
                 assert abs(res.beta[h] - coef[1]) < 1e-10
 
+    def test_shock_constant_within_one_regime_is_data_error(self):
+        # before: NumericalError from the HAC rank check (exit 4)
+        y, shock, dummy = self.make_regime_data(t=80, seed=18)
+        shock = np.where(dummy == 0.0, 0.7, shock)
+        with pytest.raises(DataError, match="constant shock .*regime 0 at horizon 0"):
+            lp_irf_state(y, shock, dummy, 3)
+        with pytest.raises(DataError, match="constant shock .*regime 1 at horizon 0"):
+            lp_irf_state(y, shock, 1.0 - dummy, 3)
+
     def test_regime_sizes_sum_to_unconditional(self):
         y, shock, dummy = self.make_regime_data(t=300, seed=16)
         horizon = 5
         state = lp_irf_state(y, shock, dummy, horizon)
         plain = lp_irf(y, shock, horizon)
         assert_array_equal(state.pre.n_obs + state.post.n_obs, plain.n_obs)
+
+
+# The two per-horizon loops that the shared core replaced, kept verbatim
+# (with their sample helpers) as the oracle: the core must reproduce their
+# results bit for bit.
+
+
+def reference_usable(y, shock, h):
+    t = y.shape[0]
+    n_obs = t - 1 - h
+    lhs = y[1 + h:] - y[: n_obs]
+    s = shock[1: t - h]
+    return lhs, s, n_obs
+
+
+def reference_check_horizon_sample(n_obs, h):
+    if n_obs < 3 or h + 1 >= n_obs:
+        raise DataError(f"too few usable observations at horizon {h} (n={n_obs})")
+
+
+def reference_lp_irf(y, shock, horizon):
+    y = np.asarray(y, dtype=float).ravel()
+    shock = np.asarray(shock, dtype=float).ravel()
+    if np.var(shock) == 0.0:
+        raise DataError("constant shock series")
+    alpha = np.empty(horizon + 1)
+    beta = np.empty(horizon + 1)
+    se = np.empty(horizon + 1)
+    n_obs = np.empty(horizon + 1, dtype=int)
+    for h in range(horizon + 1):
+        lhs, s, n_h = reference_usable(y, shock, h)
+        reference_check_horizon_sample(n_h, h)
+        if np.var(s) == 0.0:
+            raise DataError(f"constant shock over the usable sample at horizon {h}")
+        x = np.column_stack([np.ones(n_h), s])
+        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
+        resid = lhs - x @ coef
+        cov = newey_west(x, resid, h + 1)
+        alpha[h], beta[h] = coef
+        se[h] = np.sqrt(cov[1, 1])
+        n_obs[h] = n_h
+    return LocalProjectionResult(
+        horizons=np.arange(horizon + 1), alpha=alpha, beta=beta, se=se, n_obs=n_obs
+    )
+
+
+def reference_lp_irf_state(y, shock, dummy, horizon):
+    y = np.asarray(y, dtype=float).ravel()
+    shock = np.asarray(shock, dtype=float).ravel()
+    dummy = np.asarray(dummy, dtype=float).ravel()
+    shape = (horizon + 1,)
+    results = {
+        regime: {
+            "alpha": np.empty(shape),
+            "beta": np.empty(shape),
+            "se": np.empty(shape),
+            "n_obs": np.empty(shape, dtype=int),
+        }
+        for regime in (0, 1)
+    }
+    for h in range(horizon + 1):
+        lhs, s, n_h = reference_usable(y, shock, h)
+        reference_check_horizon_sample(n_h, h)
+        d = dummy[1: y.shape[0] - h]
+        n_post = int(d.sum())
+        n_pre = n_h - n_post
+        for regime, count in ((0, n_pre), (1, n_post)):
+            if count < 3:
+                raise DataError(
+                    f"regime {regime} has too few usable observations "
+                    f"at horizon {h} (n={count})"
+                )
+        x = np.column_stack([d, d * s, 1.0 - d, (1.0 - d) * s])
+        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
+        resid = lhs - x @ coef
+        cov = newey_west(x, resid, h + 1)
+        results[1]["alpha"][h], results[1]["beta"][h] = coef[0], coef[1]
+        results[0]["alpha"][h], results[0]["beta"][h] = coef[2], coef[3]
+        results[1]["se"][h] = np.sqrt(cov[1, 1])
+        results[0]["se"][h] = np.sqrt(cov[3, 3])
+        results[1]["n_obs"][h] = n_post
+        results[0]["n_obs"][h] = n_pre
+    return [LocalProjectionResult(horizons=np.arange(horizon + 1), **results[r]) for r in (0, 1)]
+
+
+def assert_same_result(got, want):
+    for name in ("horizons", "alpha", "beta", "se", "n_obs"):
+        assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def seeded_series(seed):
+    """A persistent outcome driven by a fat-tailed shock, with a regime
+    dummy that switches at a random date, on a random length and horizon."""
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(30, 700))
+    shock = rng.standard_t(4, size=t) * rng.uniform(0.01, 100.0)
+    y = np.cumsum(rng.normal(size=t)) + rng.uniform(-2, 2) * shock
+    dummy = (np.arange(t) >= int(rng.integers(t // 4, 3 * t // 4))).astype(float)
+    horizon = int(rng.integers(0, min(20, t // 8)))
+    return y, shock, dummy, horizon
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lp_irf_matches_reference_loop(seed):
+    y, shock, _, horizon = seeded_series(seed)
+    assert_same_result(lp_irf(y, shock, horizon), reference_lp_irf(y, shock, horizon))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lp_irf_state_matches_reference_loop(seed):
+    y, shock, dummy, horizon = seeded_series(seed)
+    result = lp_irf_state(y, shock, dummy, horizon)
+    pre, post = reference_lp_irf_state(y, shock, dummy, horizon)
+    assert_same_result(result.pre, pre)
+    assert_same_result(result.post, post)
+
+
+def test_lp_irf_matches_reference_on_criterion_05_design():
+    dgp = Dgp(
+        B=np.array([[0.0, 0.0], [0.5, 0.2], [-0.1, 0.4]]),
+        L=np.array([[1.0, 0.0], [0.4, 0.9]]),
+        seed=41,
+    )
+    panel, eta = simulate_var(dgp, 5000)
+    y, shock = panel.values[:, 1], eta[:, 0]
+    assert_same_result(lp_irf(y, shock, 8), reference_lp_irf(y, shock, 8))
