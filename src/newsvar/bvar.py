@@ -25,9 +25,27 @@ from .panel import TimeSeriesPanel
 # Relative tolerance on singular values below which X is treated as singular.
 _RANK_RTOL = 1e-10
 
-# Companion matrices per batched eigenvalue call; bounds the stacked
-# companions at 1024 x (n*p)^2 doubles (8 MB for n*p = 32).
+# Companion matrices per block of the stability pass; bounds the stacked
+# companions, and each power squared from them, at 1024 x (n*p)^2 doubles
+# (8 MB for n*p = 32).
 _EIGVALS_CHUNK = 1024
+
+# Squarings tried before the eigenvalue fallback: powers C^2, C^4, ..., C^64.
+_CERT_SQUARINGS = 6
+# A power C^m certifies rho(C) < 1 when the bound on ||C^m||_F is below
+# 1 - margin, and rho(C) > 1 when the lower bound on |tr C^m| exceeds
+# np * (1 + margin); the margin keeps the final comparison clear of its
+# own rounding.
+_CERT_MARGIN = 0.5
+_UNIT_ROUNDOFF = 2.0**-53
+# Outward rounding of each computed bound: it dominates the few roundings,
+# each a factor within 1 +- u, of the bound arithmetic itself (the gamma
+# factors and the norm included).
+_ROUND_UP = 1.0 + 2.0**-40
+# Absolute slack for underflow: a product below the normal range is off by
+# up to 2^-1075, and squares below 2^-511 lose their relative accuracy, so
+# a Frobenius norm can be short by up to (n*p) * 2^-537.
+_TINY = 2.0**-500
 
 
 @dataclass
@@ -323,14 +341,82 @@ def posterior_mean(fit: OlsFit, prior: PriorSpec) -> np.ndarray:
     return posterior_moments(fit, prior)[0]
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of a
+    k-term floating-point sum of products."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _radius_below_one(comp: np.ndarray) -> np.ndarray:
+    """Spectral radius < 1 of each stacked companion, by batched
+    eigenvalues: the exact arbiter behind every undecided flag."""
+    return np.abs(np.linalg.eigvals(comp)).max(axis=-1) < 1.0
+
+
+def _certified_flags(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stability flags of the stacked companions ``comp`` (B, N, N) decided
+    from rigorous bounds on their powers, and the mask of those left
+    undecided.
+
+    P_j = fl(P_{j-1}^2) approximates C^m, m = 2^j, with ||P_j - C^m||_F <=
+    err_j: a product of N-term dot products is off by at most
+    gamma_N |P||P| entrywise, whose Frobenius norm is <= gamma_N ||P||_F^2
+    (Higham, Accuracy and Stability, 3.5), and the error already in P grows
+    to 2 ||P|| err + 3 err^2. ``norm`` is an upper bound on ||P_j||_F that
+    covers the rounding of the norm itself. Then rho(C)^m <= ||C^m||_F
+    (Gelfand) and |tr C^m| <= N rho(C)^m, with |tr P_j - tr C^m| <=
+    sqrt(N) (err_j + gamma_N norm). A power or bound that overflowed is
+    inf or NaN, which fails both comparisons, so that draw is never
+    certified.
+    """
+    size = comp.shape[-1]
+    gamma = _gamma(size)
+    norm_slack = 1.0 + 2.0 * _gamma(size * size + 1)
+    root = np.sqrt(size)
+
+    def frobenius_bound(a):
+        frobenius = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+        return _ROUND_UP * norm_slack * frobenius + _TINY
+
+    flags = np.zeros(comp.shape[0], dtype=bool)
+    undecided = np.ones(comp.shape[0], dtype=bool)
+    live = np.arange(comp.shape[0])
+    power = comp
+    norm = frobenius_bound(power)
+    err = np.zeros(comp.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CERT_SQUARINGS):
+            power = power @ power
+            err = _ROUND_UP * ((2.0 * norm + 3.0 * err) * err + gamma * norm * norm) + _TINY
+            norm = frobenius_bound(power)
+            trace = np.trace(power, axis1=-2, axis2=-1)
+            stable = norm + err < 1.0 - _CERT_MARGIN
+            explosive = (
+                np.abs(trace) - _ROUND_UP * root * (err + gamma * norm)
+                > size * (1.0 + _CERT_MARGIN)
+            )
+            decided = stable | explosive
+            flags[live[stable]] = True
+            undecided[live[decided]] = False
+            if decided.all():
+                break
+            keep = ~decided
+            live, power, norm, err = live[keep], power[keep], norm[keep], err[keep]
+    return flags, undecided
+
+
 def _stable_flags(coefs: np.ndarray, n: int, p: int) -> np.ndarray:
     """Companion spectral radius < 1 for each of the stacked lag blocks
-    ``coefs`` (D, n*p, n), by batched eigenvalues in fixed-size chunks."""
+    ``coefs`` (D, n*p, n), in fixed-size chunks. A flag the bounds on
+    repeated squares certify is proven, not estimated; batched eigenvalues
+    decide the rest, exactly as when they decided every draw."""
     flags = np.empty(coefs.shape[0], dtype=bool)
     for start in range(0, coefs.shape[0], _EIGVALS_CHUNK):
         comp = _companion_from_blocks(coefs[start: start + _EIGVALS_CHUNK], n, p)
-        radius = np.abs(np.linalg.eigvals(comp)).max(axis=-1)
-        flags[start: start + comp.shape[0]] = radius < 1.0
+        chunk, undecided = _certified_flags(comp)
+        if undecided.any():
+            chunk[undecided] = _radius_below_one(comp[undecided])
+        flags[start: start + comp.shape[0]] = chunk
     return flags
 
 

@@ -425,16 +425,16 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
 
 def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
     spec, draws = _load_posterior(out, config)
-    irfs = irf_bands(draws, spec, config.horizon)
     shock_name = config.irf_shock or spec.order[0]
     if shock_name not in spec.order:
         raise ConfigError(f"irf_shock {shock_name!r} not in the variable ordering")
     shock = spec.order.index(shock_name)
+    if config.rescale is not None and config.rescale.variable not in spec.order:
+        raise ConfigError(
+            f"rescale variable {config.rescale.variable!r} not in the ordering"
+        )
+    irfs = irf_bands(draws, spec, config.horizon)
     if config.rescale is not None:
-        if config.rescale.variable not in spec.order:
-            raise ConfigError(
-                f"rescale variable {config.rescale.variable!r} not in the ordering"
-            )
         irfs = rescale_irf(
             irfs,
             shock=shock,

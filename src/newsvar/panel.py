@@ -9,6 +9,7 @@ downstream VAR requires a balanced panel.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -75,13 +76,17 @@ def open_input(path, kind: str):
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV artifact: UTF-8, LF line ends, minimal quoting (a cell
-    holding a comma, a quote or a line feed is quoted, so such names read
+    holding a comma, a quote or a line break is quoted, so such names read
     back), and each float as its ``repr``, which reads back to the same
-    double."""
+    double. ``header`` and each row are sequences of cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        plain = csv.writer(fh, lineterminator="\n")
+        # csv quotes only the line terminator's characters, so a lone
+        # carriage return would go out bare; such rows quote every text cell.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        for row in itertools.chain([header], rows):
+            holds_cr = any(isinstance(cell, str) and "\r" in cell for cell in row)
+            (quoted if holds_cr else plain).writerow(row)
 
 
 def write_json(payload, path) -> None:

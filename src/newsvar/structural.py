@@ -278,10 +278,11 @@ def standardize_shock(series: np.ndarray) -> np.ndarray:
     """Scale a series to unit sample standard deviation (MLE denominator);
     the mean is left untouched."""
     series = np.asarray(series, dtype=float).ravel()
-    sd = float(np.std(series))
-    if sd == 0.0:
+    # ptp, not std: the mean of a constant series can round, so its
+    # standard deviation need not be exactly zero
+    if np.ptp(series) == 0.0:
         raise NumericalError("cannot standardize a constant series")
-    return series / sd
+    return series / float(np.std(series))
 
 
 def irf_to_csv(irfs: IrfSet, path) -> None:

@@ -322,10 +322,13 @@ def test_cli_shock_writers(tmp_path, monkeypatch, seed):
     assert (out / "shocks.csv").read_bytes() == (tmp_path / "ref_shocks.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["x,y", 'say "hi"', "line\nbreak", "plain"])
+@pytest.mark.parametrize(
+    "name", ["x,y", 'say "hi"', "line\nbreak", "plain", "carriage\rreturn", 'q"\r,']
+)
 def test_panel_names_needing_quotes_round_trip(tmp_path, name):
-    """A panel variable whose name holds a comma, a quote or a newline is
-    quoted in the header, so load_panel reads back the same names."""
+    """A panel variable whose name holds a comma, a quote, a line feed or a
+    lone carriage return is quoted in the header, so load_panel reads back
+    the same names."""
     panel = TimeSeriesPanel(
         dates=quarter_labels(1990 * 4, 3),
         names=[name, "other"],

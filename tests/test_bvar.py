@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from newsvar import bvar
 from newsvar.bvar import (
     PosteriorDraw,
     PosteriorDraws,
@@ -395,3 +396,144 @@ def test_prior_validation():
         PriorSpec(tightness=-1.0)
     with pytest.raises(ValueError, match="symmetric"):
         PriorSpec(s0=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def eigvals_flags(coefs, n, p):
+    """The plain path: every companion's eigenvalues, radius < 1."""
+    comp = bvar._companion_from_blocks(coefs, n, p)
+    return np.abs(np.linalg.eigvals(comp)).max(axis=-1) < 1.0
+
+
+def flags_and_fallback(monkeypatch, coefs, n, p):
+    """``_stable_flags`` of the lag blocks, and for each draw whether its
+    companion went to the eigenvalue fallback."""
+    sent = []
+    arbiter = bvar._radius_below_one
+
+    def recorded(comp):
+        sent.extend(comp.copy())
+        return arbiter(comp)
+
+    monkeypatch.setattr(bvar, "_radius_below_one", recorded)
+    flags = bvar._stable_flags(coefs, n, p)
+    comps = bvar._companion_from_blocks(coefs, n, p)
+    fell_back = np.array([any(np.array_equal(c, s) for s in sent) for c in comps])
+    assert len(sent) == fell_back.sum()
+    return flags, fell_back
+
+
+def var1_blocks(matrices):
+    """Lag blocks (D, N, N) of the VAR(1)s whose companions are ``matrices``."""
+    return np.ascontiguousarray(np.swapaxes(np.asarray(matrices, dtype=float), -1, -2))
+
+
+def embed(block, size=32, rest=0.3, rng=None):
+    """``block`` in the top-left corner of a size x size matrix with ``rest``
+    on the remaining diagonal, optionally hidden by an orthogonal similarity
+    (which keeps the eigenvalues and the Jordan structure)."""
+    block = np.asarray(block, dtype=float)
+    m = np.diag(np.full(size, rest))
+    m[: len(block), : len(block)] = block
+    if rng is not None:
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        m = q @ m @ q.T
+    return m
+
+
+def stress_like_fit(seed=5, n=8, p=4, periods=224):
+    """OLS fit of a simulated stable VAR(4) in 8 variables, the layout and
+    sample size of the stress benchmark."""
+    rng = np.random.default_rng(seed)
+    while True:
+        b = np.empty((1 + n * p, n))
+        b[0] = rng.normal(0.0, 0.1, n)
+        for lag in range(1, p + 1):
+            a = rng.normal(0.0, 0.3 / (np.sqrt(n) * lag), (n, n))
+            if lag == 1:
+                a[np.diag_indices(n)] += rng.uniform(0.3, 0.7, n)
+            b[1 + (lag - 1) * n: 1 + lag * n] = a.T
+        dgp = Dgp(B=b, L=0.02 * np.eye(n), seed=seed)
+        if dgp.spectral_radius < 0.95:
+            break
+    panel, _ = simulate_var(dgp, periods)
+    return ols_estimate(*build_regressors(panel, dgp.var_spec))
+
+
+class TestCertifiedStableFlags:
+    @pytest.mark.parametrize("size", [1, 4, 32])
+    @pytest.mark.parametrize("radius", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_near_unit_radius_falls_through(self, monkeypatch, size, radius):
+        rng = np.random.default_rng(size)
+        mats = []
+        for _ in range(6):
+            q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+            eig = rng.uniform(-0.9, 0.9, size)
+            eig[rng.integers(size)] = radius if rng.uniform() < 0.5 else -radius
+            mats.append((q * eig) @ q.T)
+        coefs = var1_blocks(mats)
+        flags, fell_back = flags_and_fallback(monkeypatch, coefs, size, 1)
+        assert fell_back.all()
+        assert_array_equal(flags, eigvals_flags(coefs, size, 1))
+        assert_array_equal(flags, np.full(6, radius < 1.0))
+
+    def test_defective_companions(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        jordan4 = np.diag(np.full(4, 0.9)) + np.diag(np.ones(3), 1)
+        cases = [
+            # (Jordan block, true radius, must reach the fallback)
+            ([[0.999, 100.0], [0.0, 0.999]], 0.999, True),
+            ([[1.001, 100.0], [0.0, 1.001]], 1.001, True),
+            (jordan4, 0.9, True),
+            ([[0.5, 100.0], [0.0, 0.5]], 0.5, False),
+            # C^64 is below the margin, but the rounding bound of the first
+            # square, gamma_32 * ||C||_F^2 ~ 35, is not
+            ([[0.5, 1e8], [0.0, 0.5]], 0.5, True),
+        ]
+        mats = [embed(block, rng=hide) for block, _, _ in cases for hide in (None, rng)]
+        truth = np.repeat([radius < 1.0 for _, radius, _ in cases], 2)
+        must_fall = np.repeat([fall for _, _, fall in cases], 2)
+        coefs = var1_blocks(mats)
+        flags, fell_back = flags_and_fallback(monkeypatch, coefs, 32, 1)
+        assert_array_equal(flags, eigvals_flags(coefs, 32, 1))
+        assert_array_equal(flags, truth)
+        assert fell_back[must_fall].all()
+        assert not fell_back[~must_fall].any()
+
+    def test_huge_roots(self, monkeypatch):
+        rotation = [[0.0, 1e6], [-1e6, 0.0]]
+        cases = [
+            # (block, must reach the fallback)
+            ([[1e6]], False),
+            (rotation, False),
+            ([[1e6, 1e200], [0.0, 1e6]], True),  # the error bound overflows
+            (np.full((4, 4), 1e300), True),  # the first square overflows
+        ]
+        mats = [embed(block) for block, _ in cases]
+        coefs = var1_blocks(mats)
+        flags, fell_back = flags_and_fallback(monkeypatch, coefs, 32, 1)
+        assert_array_equal(flags, eigvals_flags(coefs, 32, 1))
+        assert not flags.any()
+        assert_array_equal(fell_back, [fall for _, fall in cases])
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (4, 1), (2, 2), (1, 4), (32, 1), (8, 4)])
+    def test_matches_eigenvalues_over_radii(self, n, p):
+        rng = np.random.default_rng(100 + 10 * n + p)
+        draws = 300
+        radii = rng.uniform(0.2, 3.0, draws)
+        coefs = rng.normal(size=(draws, n * p, n))
+        # Scaling lag block j by s^j scales every companion eigenvalue by s.
+        base = np.abs(np.linalg.eigvals(bvar._companion_from_blocks(coefs, n, p))).max(axis=-1)
+        lag = np.repeat(np.arange(1, p + 1), n)
+        coefs *= (radii / base)[:, None, None] ** lag[None, :, None]
+        flags = bvar._stable_flags(coefs, n, p)
+        assert_array_equal(flags, eigvals_flags(coefs, n, p))
+        away = np.abs(radii - 1.0) > 1e-6
+        assert_array_equal(flags[away], radii[away] < 1.0)
+
+    def test_stress_like_posterior_is_certified(self, monkeypatch):
+        draws = posterior_sample(stress_like_fit(), PriorSpec(kind="minnesota"), 2000, seed=7)
+        coefs = draws.B[:, 1:, :]
+        flags, fell_back = flags_and_fallback(monkeypatch, coefs, 8, 4)
+        assert fell_back.mean() <= 0.01
+        assert_array_equal(flags, draws.stable)
+        assert_array_equal(flags, eigvals_flags(coefs, 8, 4))

@@ -538,6 +538,21 @@ class TestConfigAndExitCodes:
         )
         assert cli.main(["irf", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "extra", ["irf_shock: zz\n", "rescale: {variable: zz, horizon: 2, value: 1.0}\n"]
+    )
+    def test_irf_membership_checked_before_bands(self, tmp_path, monkeypatch, capsys, extra):
+        # before: both were checked only after irf_bands had computed every band
+        run_pipeline(tmp_path)
+        cfg = write_yaml(tmp_path / "bad.yaml", ESTIMATE_YAML + extra)
+
+        def no_bands(*args, **kwargs):
+            raise AssertionError("irf_bands ran before the config checks")
+
+        monkeypatch.setattr(cli, "irf_bands", no_bands)
+        assert cli.main(["irf", "--config", cfg]) == 2
+        assert "'zz' not in the" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "c.yaml", "out: x\ndata: that_is_not_there.csv\nlags: 1\n"

@@ -419,3 +419,11 @@ class TestStandardizeShock:
     def test_constant_series_rejected(self):
         with pytest.raises(NumericalError, match="constant"):
             standardize_shock(np.full(5, 3.3))
+
+    def test_constant_series_with_inexact_mean_rejected(self):
+        # np.std of this series is about 2.2e-16, not 0, because its mean
+        # rounds; before, it was divided through to values near 3.2e15
+        series = np.full(50, 0.7)
+        assert np.std(series) > 0.0
+        with pytest.raises(NumericalError, match="constant"):
+            standardize_shock(series)
