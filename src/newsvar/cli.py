@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,7 @@ from .panel import (
     align_range,
     apply_transforms,
     format_quarter,
+    header_round_trips,
     load_panel,
     parse_quarter,
     write_csv,
@@ -232,6 +234,15 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"lags must be >= 1, got {config.lags}")
     if len(set(config.variables)) != len(config.variables):
         raise ConfigError(f"variables list contains duplicates: {config.variables}")
+    named = [("variable", name) for name in config.variables]
+    named += [("dgp name", name) for name in (config.dgp.names if config.dgp else [])]
+    named.append(("date column", config.date_column))
+    for what, name in named:
+        if not header_round_trips(name):
+            raise ConfigError(
+                f"{what} {name!r} has leading or trailing whitespace, which "
+                f"panel CSV headers do not keep"
+            )
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.prior.kind not in ("flat", "minnesota"):
@@ -246,6 +257,9 @@ def _validate(config: RunConfig) -> None:
     if config.rescale is not None:
         if not config.rescale.variable:
             raise ConfigError("rescale requires a target variable")
+        value = config.rescale.value
+        if not isinstance(value, (int, float)) or not math.isfinite(value) or value == 0:
+            raise ConfigError(f"rescale value must be a finite non-zero number, got {value!r}")
         if not 0 <= config.rescale.horizon <= config.horizon:
             raise ConfigError(
                 f"rescale horizon {config.rescale.horizon} outside the "
@@ -378,8 +392,9 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
 def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDraws]:
     """The posterior artifact in ``out``, refused when it was estimated under
     another VAR spec or prior than ``config`` describes (the config's
-    ordering defaults to the stored one), holds too few draws for bands, or
-    has arrays that are missing or disagree with ``posterior.json``."""
+    ordering defaults to the stored one), holds too few draws for bands or a
+    non-finite coefficient or covariance, or has arrays that are missing or
+    disagree with ``posterior.json``."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(
@@ -419,6 +434,12 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
         raise DataError(
             f"posterior coefficients in {out} have shape {draws.B.shape} but "
             f"posterior.json records {expected}; re-run estimate"
+        )
+    finite = np.isfinite(draws.B).all(axis=(1, 2)) & np.isfinite(draws.Sigma).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(
+            f"posterior draw {np.argmin(finite)} in {out} holds a non-finite "
+            f"coefficient or covariance; re-run estimate"
         )
     return spec, draws
 

@@ -9,6 +9,7 @@ downstream VAR requires a balanced panel.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -41,13 +42,21 @@ def format_quarter(serial: int) -> str:
 
 def quarter_labels(first_serial: int, count: int) -> list[str]:
     """``count`` consecutive labels from serial quarter ``first_serial``,
-    equal to ``format_quarter`` of each serial but built a year at a time."""
+    equal to ``format_quarter`` of each serial. Returns a fresh list."""
+    return list(_quarter_labels(first_serial, count))
+
+
+# A simulated panel's labels are built for the panel and again to check it.
+@functools.lru_cache(maxsize=16)
+def _quarter_labels(first_serial: int, count: int) -> tuple[str, ...]:
+    """Labels built a year at a time; memoised, so held as a tuple that no
+    caller can change."""
     first_year, skip = divmod(first_serial, 4)
     labels = []
     for year in range(first_year, (first_serial + count - 1) // 4 + 1):
         y = str(year)
         labels += (y + "Q1", y + "Q2", y + "Q3", y + "Q4")
-    return labels[skip:skip + count]
+    return tuple(labels[skip:skip + count])
 
 
 def quarter_range(start: str, end: str) -> list[str]:
@@ -151,6 +160,12 @@ class TimeSeriesPanel:
         return self.values[:, self.names.index(name)]
 
 
+def header_round_trips(name) -> bool:
+    """Whether a header name reads back unchanged: load_panel strips each
+    one of leading and trailing whitespace."""
+    return str(name) == str(name).strip()
+
+
 def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
     """Read a panel CSV (header row, one YYYYQn date column, numeric columns).
 
@@ -202,7 +217,16 @@ def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
 
 
 def write_panel(panel: TimeSeriesPanel, path, date_column: str = "date") -> None:
-    """Write a panel CSV that round-trips through load_panel at full precision."""
+    """Write a panel CSV that round-trips through load_panel at full precision.
+
+    A header name with leading or trailing whitespace is refused, because
+    load_panel strips it and so would read back another name."""
+    for name in (date_column, *panel.names):
+        if not header_round_trips(name):
+            raise DataError(
+                f"cannot write header name {name!r}: leading or trailing "
+                f"whitespace does not survive load_panel"
+            )
     rows = ([date, *row] for date, row in zip(panel.dates, panel.values.tolist()))
     write_csv(path, [date_column, *panel.names], rows)
 

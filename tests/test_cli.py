@@ -239,6 +239,21 @@ horizon: 4
         (tmp_path / "work" / "posterior_covariances.npy").unlink()
         assert cli.main(["irf", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize(
+        "name,index,value",
+        [("coefficients", (7, 2, 1), np.nan), ("covariances", (3, 0, 0), np.inf)],
+    )
+    def test_non_finite_posterior_is_data_error(self, tmp_path, capsys, name, index, value):
+        # before: exit 0 with nan cells in irf.csv (a NaN fails no symmetry test)
+        cfg = self.estimate(tmp_path)
+        path = tmp_path / "work" / f"posterior_{name}.npy"
+        array = np.load(path)
+        array[index] = value
+        np.save(path, array)
+        assert cli.main(["irf", "--config", cfg]) == 3
+        assert f"posterior draw {index[0]} in" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "irf.csv").exists()
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(newsvar.__file__).resolve().parents[1])
@@ -537,6 +552,38 @@ class TestConfigAndExitCodes:
             ESTIMATE_YAML + "rescale: {variable: g, horizon: 30, value: 1.0}\n",
         )
         assert cli.main(["irf", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0.0", "zero"])
+    def test_bad_rescale_value_is_config_error(self, tmp_path, capsys, value):
+        # before: exit 0 with nan cells, or every response to the shock zeroed
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            ESTIMATE_YAML + f"rescale: {{variable: g, horizon: 2, value: {value}}}\n",
+        )
+        assert cli.main(["irf", "--config", cfg]) == 2
+        assert "rescale value must be a finite non-zero number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            'variables: [" ng", g]\n',
+            'variables: [ng, "g\\r"]\n',
+            'date_column: "date "\n',
+        ],
+    )
+    def test_names_with_outer_whitespace_are_config_error(self, tmp_path, capsys, extra):
+        # before: load_panel strips header names, so these never match a panel
+        cfg = write_yaml(tmp_path / "c.yaml", ESTIMATE_YAML + extra)
+        assert cli.main(["estimate", "--config", cfg]) == 2
+        assert "leading or trailing whitespace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ['" ng"', '"ng\\r"'])
+    def test_simulate_refuses_names_that_would_not_round_trip(self, tmp_path, capsys, bad):
+        # before: panel.csv was written and read back with the name stripped
+        cfg = write_yaml(tmp_path / "c.yaml", SIMULATE_YAML.replace("[ng, g]", f"[{bad}, g]"))
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "leading or trailing whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize(
         "extra", ["irf_shock: zz\n", "rescale: {variable: zz, horizon: 2, value: 1.0}\n"]

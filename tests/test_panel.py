@@ -60,6 +60,14 @@ class TestQuarterLabels:
                 format_quarter(s) for s in range(first, first + count)
             ]
 
+    def test_returned_list_is_fresh(self):
+        first = parse_quarter("1999Q3")
+        labels = quarter_labels(first, 6)
+        labels[0] = "changed"
+        labels.append("1901Q1")
+        assert quarter_labels(first, 6) == [format_quarter(s) for s in range(first, first + 6)]
+        assert quarter_labels(first, 6) is not quarter_labels(first, 6)
+
     def test_range_uses_canonical_labels(self):
         assert quarter_range("09999Q4", " 10000Q2") == ["9999Q4", "10000Q1", "10000Q2"]
 
@@ -328,6 +336,26 @@ def test_csv_round_trip_is_exact(tmp_path_factory, t, n, seed):
     back = load_panel(path)
     assert back.dates == panel.dates
     assert back.names == panel.names
+    assert_array_equal(back.values, panel.values)
+
+
+@pytest.mark.parametrize("name", [" a", "a ", "a\r", "\ta", "a\n"])
+@pytest.mark.parametrize("where", ["variable", "date column"])
+def test_write_refuses_names_that_would_not_round_trip(tmp_path, name, where):
+    # load_panel strips header names, so " a" or "a\r" would read back as "a"
+    panel = make_panel("1990Q1", np.ones((3, 2)), names=[name, "b"] if where == "variable" else None)
+    date_column = name if where == "date column" else "date"
+    with pytest.raises(DataError, match="whitespace"):
+        write_panel(panel, tmp_path / "panel.csv", date_column=date_column)
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_names_with_inner_whitespace_round_trip(tmp_path):
+    panel = make_panel("1990Q1", np.arange(6.0).reshape(3, 2), names=["green news", "a\tb"])
+    write_panel(panel, tmp_path / "panel.csv", date_column="the date")
+    back = load_panel(tmp_path / "panel.csv", date_column="the date")
+    assert back.names == panel.names
+    assert back.dates == panel.dates
     assert_array_equal(back.values, panel.values)
 
 

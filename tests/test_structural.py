@@ -15,6 +15,8 @@ from newsvar.bvar import (
 )
 from newsvar.errors import NumericalError
 from newsvar.structural import (
+    BAND_PERCENTILES,
+    _percentile_bands,
     cholesky_rotate,
     compute_irf,
     decompose_residuals,
@@ -298,6 +300,55 @@ class TestRescaleIrf:
         assert out.median[3, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(out.lower <= out.median + 1e-15)
         assert np.all(out.median <= out.upper + 1e-15)
+
+
+def awkward_draws(d, seed=0):
+    """(d, 4, 3, 2) draws with ties, +-inf and a NaN draw in some cells."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, 4, 3, 2))
+    x[:, 0] = np.round(x[:, 0], 1)
+    x[:, 1, 0] = 0.25
+    pick = rng.random(x.shape)
+    x[pick < 0.05] = np.inf
+    x[pick > 0.95] = -np.inf
+    x[d // 2, 2, 1, 0] = np.nan
+    x[0, 3, :, 1] = np.nan
+    return x
+
+
+class TestPercentileBands:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 511, 512, 513, 4097])
+    def test_equals_numpy_percentile(self, d):
+        x = awkward_draws(d, seed=d)
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            got = _percentile_bands(x)
+            want = np.percentile(x, BAND_PERCENTILES, axis=0)
+        assert_array_equal(got, want)
+        assert np.isnan(got[:, 3, :, 1]).all()
+        assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("d", [3, 513])
+    def test_strided_shock_column(self, d):
+        x = awkward_draws(d, seed=7)[:, :, :, 1]
+        assert not x.flags.c_contiguous
+        with np.errstate(invalid="ignore"):
+            assert_array_equal(_percentile_bands(x), np.percentile(x, BAND_PERCENTILES, axis=0))
+
+    @pytest.mark.parametrize("target", [0.7, -1.3])
+    def test_rescaled_bands_equal_numpy_percentile(self, target):
+        irfs = TestRescaleIrf().make_bands(seed=4)
+        out = rescale_irf(irfs, 1, "stock", 6, target)
+        want = np.percentile(out.responses, BAND_PERCENTILES, axis=0)
+        assert_array_equal(np.stack([out.lower, out.median, out.upper]), want)
+
+    def test_bands_do_not_call_numpy_percentile(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.percentile called")
+
+        monkeypatch.setattr(np, "percentile", refuse)
+        irfs = TestRescaleIrf().make_bands()
+        rescale_irf(irfs, 0, "tfp", 10, 1.0)
 
 
 class TestDecomposeResiduals:
