@@ -190,7 +190,13 @@ def _check_full_rank(x: np.ndarray, what: str = "X") -> None:
         raise NumericalError(
             f"rank-deficient {what}: {x.shape[0]} rows < {x.shape[1]} columns"
         )
-    sv = np.linalg.svd(x, compute_uv=False)
+    _check_singular_values(np.linalg.svd(x, compute_uv=False), what)
+
+
+def _check_singular_values(sv: np.ndarray, what: str) -> None:
+    """NumericalError unless the descending singular values ``sv`` of a
+    matrix with at least as many rows as columns show full column rank
+    (tolerance _RANK_RTOL)."""
     if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
         cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
         raise NumericalError(

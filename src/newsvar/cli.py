@@ -174,7 +174,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's C parser with the safe resolver: the values of
+        # yaml.safe_load without parsing the DGP matrices in Python
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:
@@ -226,12 +228,24 @@ def _canonical(config: RunConfig) -> dict:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {config.horizon}")
-    if config.draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {config.draws}")
-    if config.lags < 1:
-        raise ConfigError(f"lags must be >= 1, got {config.lags}")
+    integers = [
+        ("seed", config.seed, 0),
+        ("draws", config.draws, 1),
+        ("horizon", config.horizon, 0),
+        ("lags", config.lags, 1),
+    ]
+    if config.rescale is not None:
+        integers.append(("rescale.horizon", config.rescale.horizon, 0))
+    if config.dgp is not None:
+        integers += [
+            ("dgp.periods", config.dgp.periods, 1),
+            ("dgp.burn_in", config.dgp.burn_in, 0),
+        ]
+    for key, value, smallest in integers:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if value < smallest:
+            raise ConfigError(f"{key} must be >= {smallest}, got {value}")
     if len(set(config.variables)) != len(config.variables):
         raise ConfigError(f"variables list contains duplicates: {config.variables}")
     named = [("variable", name) for name in config.variables]
@@ -243,8 +257,6 @@ def _validate(config: RunConfig) -> None:
                 f"{what} {name!r} has leading or trailing whitespace, which "
                 f"panel CSV headers do not keep"
             )
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.prior.kind not in ("flat", "minnesota"):
         raise ConfigError(f"prior kind must be flat or minnesota, got {config.prior.kind!r}")
     if config.prior.tightness <= 0:
@@ -260,11 +272,20 @@ def _validate(config: RunConfig) -> None:
         value = config.rescale.value
         if not isinstance(value, (int, float)) or not math.isfinite(value) or value == 0:
             raise ConfigError(f"rescale value must be a finite non-zero number, got {value!r}")
-        if not 0 <= config.rescale.horizon <= config.horizon:
+        if config.rescale.horizon > config.horizon:
             raise ConfigError(
                 f"rescale horizon {config.rescale.horizon} outside the "
                 f"response horizon 0..{config.horizon}"
             )
+    if config.lp is not None:
+        band_se = config.lp.band_se
+        if (
+            isinstance(band_se, bool)
+            or not isinstance(band_se, (int, float))
+            or not math.isfinite(band_se)
+            or band_se <= 0
+        ):
+            raise ConfigError(f"lp band_se must be a finite number > 0, got {band_se!r}")
     dates = {
         "sample start": config.sample_start,
         "sample end": config.sample_end,
@@ -638,8 +659,6 @@ def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
         )
     except ValueError as exc:
         raise ConfigError(f"bad dgp block: {exc}") from exc
-    if config.dgp.periods < 1:
-        raise ConfigError("dgp periods must be >= 1")
     panel, eta = simulate_var(dgp, config.dgp.periods)
     paths = {
         "panel": out / "panel.csv",

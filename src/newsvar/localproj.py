@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvar import _check_full_rank
+from .bvar import _check_full_rank, _check_singular_values
 from .errors import DataError
 from .panel import write_csv, write_json
+
+_HAC_WHAT = "regressor matrix in HAC estimator"
 
 
 @dataclass
@@ -62,8 +64,18 @@ def newey_west(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
         raise ValueError(f"truncation lag must be >= 0, got {lag}")
     if lag >= t:
         raise ValueError(f"truncation lag {lag} must be < T = {t}")
-    _check_full_rank(x, "regressor matrix in HAC estimator")
-    scores = x * u[:, None]
+    _check_full_rank(x, _HAC_WHAT)
+    return _hac(x, u, lag)
+
+
+def _hac(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
+    """The Newey-West sandwich of ``newey_west`` on arguments it has already
+    checked: float X of full column rank, matching residuals, 0 <= lag < T."""
+    # x * u[:, None] column by column: the same values in the same layout,
+    # without one k-wide inner loop per row.
+    scores = np.empty_like(x)
+    for j in range(x.shape[1]):
+        np.multiply(x[:, j], u, out=scores[:, j])
     meat = scores.T @ scores
     for ell in range(1, lag + 1):
         gamma = scores[ell:].T @ scores[:-ell]
@@ -95,6 +107,12 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     shape = (len(regimes), horizon + 1)
     alpha, beta, se = np.empty(shape), np.empty(shape), np.empty(shape)
     n_obs = np.empty(shape, dtype=int)
+    # Columns [w, w*shock] per regime over every date t >= 1; the design at
+    # horizon h is its first t-1-h rows.
+    design = np.empty((t - 1, 2 * len(regimes)))
+    for r, (_, weight) in enumerate(regimes):
+        design[:, 2 * r] = weight[1:]
+        design[:, 2 * r + 1] = weight[1:] * shock[1:]
     for h in range(horizon + 1):
         n_h = t - 1 - h
         # The HAC lag h+1 must also fit inside the usable sample.
@@ -102,10 +120,8 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
             raise DataError(f"too few usable observations at horizon {h} (n={n_h})")
         lhs = y[1 + h:] - y[:n_h]
         s = shock[1: t - h]
-        columns = []
         for r, (label, weight) in enumerate(regimes):
-            w = weight[1: t - h]
-            rows = w == 1.0
+            rows = weight[1: t - h] == 1.0
             n_obs[r, h] = np.count_nonzero(rows)
             if n_obs[r, h] < 3:
                 raise DataError(
@@ -116,10 +132,12 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
                 raise DataError(
                     f"constant shock over the usable sample of regime {label} at horizon {h}"
                 )
-            columns += (w, w * s)
-        x = np.column_stack(columns)
-        coef, *_ = np.linalg.lstsq(x, lhs, rcond=None)
-        cov = newey_west(x, lhs - x @ coef, h + 1)
+        # One SVD per horizon: lstsq's singular values decide the rank check
+        # (the regime counts above leave at least as many rows as columns).
+        x = design[:n_h]
+        coef, _, _, sv = np.linalg.lstsq(x, lhs, rcond=None)
+        _check_singular_values(sv, _HAC_WHAT)
+        cov = _hac(x, lhs - x @ coef, h + 1)
         alpha[:, h], beta[:, h] = coef[0::2], coef[1::2]
         se[:, h] = np.sqrt(np.diag(cov)[1::2])
     return [

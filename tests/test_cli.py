@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_array_equal
 
 import newsvar
@@ -450,6 +451,16 @@ lp:
         assert abs(post["beta"][0] - 2.0) <= 3.0 * post["se"][0]
 
 
+    @pytest.mark.parametrize("value", [".nan", "-1.0", "wide"])
+    def test_bad_band_se_is_config_error(self, tmp_path, capsys, value):
+        # before: .nan wrote a bare NaN into lp_outcome.json (not JSON), -1.0
+        # drew inverted bands, and "wide" crashed with a numpy traceback
+        cfg = self.lp_config(tmp_path, f"  band_se: {value}")
+        assert cli.main(["lp", "--config", cfg]) == 2
+        assert "lp band_se must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "lpout").exists()
+
+
 class TestIndexCommand:
     def index_config(self, tmp_path):
         with open(tmp_path / "events.csv", "w", encoding="utf-8") as fh:
@@ -661,6 +672,105 @@ class TestConfigAndExitCodes:
         pa = load_panel(tmp_path / "a" / "panel.csv")
         pb = load_panel(tmp_path / "b" / "panel.csv")
         assert not np.array_equal(pa.values, pb.values)
+
+
+    def test_invalid_yaml_is_config_error(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", "out: [unclosed\nseed: 1\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "invalid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, fixture, old, new, key",
+        [
+            ("simulate", SIMULATE_YAML, "seed: 3", 'seed: "1"', "seed"),
+            ("estimate", ESTIMATE_YAML, "draws: 60", 'draws: "10"', "draws"),
+            ("irf", ESTIMATE_YAML, "horizon: 8", 'horizon: "abc"', "horizon"),
+            ("estimate", ESTIMATE_YAML, "lags: 1", "lags: 2.5", "lags"),
+            (
+                "irf",
+                ESTIMATE_YAML,
+                "horizon: 8",
+                "horizon: 8\nrescale: {variable: g, horizon: 2.0, value: 1.0}",
+                "rescale.horizon",
+            ),
+            ("simulate", SIMULATE_YAML, "periods: 300", "periods: 300.0", "dgp.periods"),
+            ("simulate", SIMULATE_YAML, "burn_in: 100", "burn_in: true", "dgp.burn_in"),
+        ],
+        ids=["seed", "draws", "horizon", "lags", "rescale.horizon", "dgp.periods", "dgp.burn_in"],
+    )
+    def test_non_integer_key_is_config_error(
+        self, tmp_path, capsys, command, fixture, old, new, key
+    ):
+        # before: a TypeError traceback (exit 1) or, for lags: 2.5, "slice
+        # indices must be integers"
+        cfg = write_yaml(tmp_path / "c.yaml", fixture.replace(old, new))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+
+def canonical(value):
+    """The loaded document with every float spelled by float.hex, so that
+    equality also tells -0.0 from 0.0 and compares NaNs."""
+    if isinstance(value, dict):
+        return {key: canonical(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [canonical(item) for item in value]
+    if isinstance(value, float):
+        return float.hex(value)
+    return (type(value).__name__, value)
+
+
+def chain_style_json_config(seed):
+    """A config written as JSON the way the benchmark's chain configs are,
+    with full-precision floats of every magnitude and both signs."""
+    rng = np.random.default_rng(seed)
+    n = 8
+    values = rng.normal(size=(n * 4 + 1, n)) * 10.0 ** rng.integers(-12, 12, size=(n * 4 + 1, n))
+    config = {
+        "out": "out",
+        "seed": int(rng.integers(0, 2**31)),
+        "draws": 10000,
+        "variables": [f"y{j + 1}" for j in range(n)],
+        "rescale": {"variable": "y1", "horizon": 4, "value": 0.25},
+        "dgp": {
+            "coefficients": values.tolist(),
+            "impact": np.tril(rng.normal(size=(n, n))).tolist(),
+            "periods": 300,
+            "burn_in": 200,
+            "start": "1960Q1",
+            "names": [f"y{j + 1}" for j in range(n)],
+        },
+        "index": {"events": "events.csv", "sigma_v": 0.02, "sigma_e": -0.0},
+    }
+    return json.dumps(config, indent=1) + "\n"
+
+
+def yaml_fixtures() -> dict[str, str]:
+    import test_acceptance
+    import test_artifacts
+
+    texts = {
+        "cli-simulate": SIMULATE_YAML,
+        "cli-estimate": ESTIMATE_YAML,
+        "artifacts-simulate": test_artifacts.SIM_YAML,
+        "acceptance-simulate": test_acceptance.SIM_YAML,
+        "acceptance-estimate": test_acceptance.EST_YAML,
+        "acceptance-lp": test_acceptance.LP_YAML,
+        "acceptance-index": test_acceptance.IDX_YAML,
+    }
+    texts.update((f"chain-json-{seed}", chain_style_json_config(seed)) for seed in range(3))
+    return texts
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text", [pytest.param(text, id=name) for name, text in yaml_fixtures().items()]
+)
+def test_libyaml_loader_matches_safe_load(text):
+    pure = yaml.load(text, Loader=yaml.SafeLoader)
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert canonical(fast) == canonical(pure)
 
 
 class TestDeterminism:

@@ -39,6 +39,17 @@ class TestNeweyWest:
         white = bread @ (scores.T @ scores) @ bread
         assert_array_equal(newey_west(x, u, 0), white)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_lag_zero_equals_white_in_any_memory_layout(self, layout):
+        rng = np.random.default_rng(0)
+        base = np.column_stack([np.ones(400), rng.normal(size=(400, 3))])
+        x = np.asfortranarray(base[:200, :3]) if layout == "fortran" else base[::2, ::2]
+        u = rng.normal(size=200)
+        scores = x * u[:, None]
+        bread = np.linalg.inv(x.T @ x)
+        white = bread @ (scores.T @ scores) @ bread
+        assert_array_equal(newey_west(x, u, 0), white)
+
     def test_iid_homoskedastic_near_classical(self):
         rng = np.random.default_rng(1)
         t, sigma = 5000, 1.7
@@ -360,3 +371,74 @@ def test_lp_irf_matches_reference_on_criterion_05_design():
     panel, eta = simulate_var(dgp, 5000)
     y, shock = panel.values[:, 1], eta[:, 0]
     assert_same_result(lp_irf(y, shock, 8), reference_lp_irf(y, shock, 8))
+
+
+def criterion_05_series():
+    dgp = Dgp(
+        B=np.array([[0.0, 0.0], [0.5, 0.2], [-0.1, 0.4]]),
+        L=np.array([[1.0, 0.0], [0.4, 0.9]]),
+        seed=41,
+    )
+    panel, eta = simulate_var(dgp, 5000)
+    dummy = (np.arange(5000) >= 2000).astype(float)
+    return panel.values[:, 1], eta[:, 0], dummy
+
+
+def test_lp_irf_state_matches_reference_on_criterion_05_design():
+    y, shock, dummy = criterion_05_series()
+    result = lp_irf_state(y, shock, dummy, 8)
+    pre, post = reference_lp_irf_state(y, shock, dummy, 8)
+    assert_same_result(result.pre, pre)
+    assert_same_result(result.post, post)
+
+
+# The per-horizon core factorises each design once: lstsq's singular values
+# decide the rank check, and no separate SVD runs.
+
+
+def test_lp_runs_no_separate_svd(monkeypatch):
+    y, shock, dummy, horizon = seeded_series(3)
+    plain = lp_irf(y, shock, horizon)
+    state = lp_irf_state(y, shock, dummy, horizon)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert_same_result(lp_irf(y, shock, horizon), plain)
+    again = lp_irf_state(y, shock, dummy, horizon)
+    assert_same_result(again.pre, state.pre)
+    assert_same_result(again.post, state.post)
+
+
+def test_lp_runs_one_lstsq_per_horizon(monkeypatch):
+    y, shock, dummy, _ = seeded_series(5)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for horizon in (0, 3, 7):
+        calls.clear()
+        lp_irf(y, shock, horizon)
+        assert len(calls) == horizon + 1
+        calls.clear()
+        lp_irf_state(y, shock, dummy, horizon)
+        assert len(calls) == horizon + 1
+
+
+def test_near_collinear_shock_is_rank_deficient():
+    # ptp > 0, so the constant-shock checks pass, but cond(X) is about 1e21
+    rng = np.random.default_rng(19)
+    t = 200
+    shock = 1e9 + 1e-3 * rng.normal(size=t)
+    assert np.ptp(shock) > 0.0
+    y = rng.normal(size=t)
+    dummy = (np.arange(t) >= t // 2).astype(float)
+    with pytest.raises(NumericalError, match="rank-deficient regressor matrix in HAC"):
+        lp_irf(y, shock, 4)
+    with pytest.raises(NumericalError, match="rank-deficient regressor matrix in HAC"):
+        lp_irf_state(y, shock, dummy, 4)
