@@ -246,6 +246,24 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         if value < smallest:
             raise ConfigError(f"{key} must be >= {smallest}, got {value}")
+    positive = [("prior tightness", config.prior.tightness)]
+    if config.prior.nu0 is not None:
+        positive.append(("prior nu0", config.prior.nu0))
+    if config.index is not None:
+        positive += [
+            ("index sigma_v", config.index.sigma_v),
+            ("index sigma_e", config.index.sigma_e),
+        ]
+    if config.lp is not None:
+        positive.append(("lp band_se", config.lp.band_se))
+    for key, value in positive:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value <= 0
+        ):
+            raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
     if len(set(config.variables)) != len(config.variables):
         raise ConfigError(f"variables list contains duplicates: {config.variables}")
     named = [("variable", name) for name in config.variables]
@@ -259,8 +277,6 @@ def _validate(config: RunConfig) -> None:
             )
     if config.prior.kind not in ("flat", "minnesota"):
         raise ConfigError(f"prior kind must be flat or minnesota, got {config.prior.kind!r}")
-    if config.prior.tightness <= 0:
-        raise ConfigError("prior tightness must be > 0")
     for name, kind in config.transforms.items():
         if kind not in ("level", "log-level", "growth-rate"):
             raise ConfigError(f"unknown transform {kind!r} for variable {name!r}")
@@ -277,15 +293,6 @@ def _validate(config: RunConfig) -> None:
                 f"rescale horizon {config.rescale.horizon} outside the "
                 f"response horizon 0..{config.horizon}"
             )
-    if config.lp is not None:
-        band_se = config.lp.band_se
-        if (
-            isinstance(band_se, bool)
-            or not isinstance(band_se, (int, float))
-            or not math.isfinite(band_se)
-            or band_se <= 0
-        ):
-            raise ConfigError(f"lp band_se must be a finite number > 0, got {band_se!r}")
     dates = {
         "sample start": config.sample_start,
         "sample end": config.sample_end,
@@ -613,8 +620,6 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
     if config.index is None or not config.index.events:
         raise ConfigError("index command requires an 'index' config block with events")
-    if config.index.sigma_v <= 0 or config.index.sigma_e <= 0:
-        raise ConfigError("index sigma_v and sigma_e must be > 0")
     events = load_events(config.index.events)
     if not events:
         raise DataError(f"no events in {config.index.events}")

@@ -8,11 +8,12 @@ The state-dependent variant interacts both regressors with a 0/1 regime
 dummy dated at the shock, with no common intercept, which reproduces
 split-sample point estimates exactly. Both variants run one per-horizon
 regression on [w, w*shock] for each regime weight w: a column of ones
-when pooled, D and 1-D when regime-split.
+when pooled, D and 1-D when regime-split, solved in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,38 +66,74 @@ def newey_west(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
     if lag >= t:
         raise ValueError(f"truncation lag {lag} must be < T = {t}")
     _check_full_rank(x, _HAC_WHAT)
-    return _hac(x, u, lag)
-
-
-def _hac(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
-    """The Newey-West sandwich of ``newey_west`` on arguments it has already
-    checked: float X of full column rank, matching residuals, 0 <= lag < T."""
     # x * u[:, None] column by column: the same values in the same layout,
     # without one k-wide inner loop per row.
     scores = np.empty_like(x)
     for j in range(x.shape[1]):
         np.multiply(x[:, j], u, out=scores[:, j])
-    meat = scores.T @ scores
-    for ell in range(1, lag + 1):
-        gamma = scores[ell:].T @ scores[:-ell]
-        meat += (1.0 - ell / (lag + 1.0)) * (gamma + gamma.T)
     bread = np.linalg.inv(x.T @ x)
-    return bread @ meat @ bread
+    return bread @ _hac(scores, lag) @ bread
 
 
-def _series(*series) -> list[np.ndarray]:
-    """The series as flat float arrays of one common length."""
-    series = [np.asarray(x, dtype=float).ravel() for x in series]
-    if len({x.shape[0] for x in series}) > 1:
-        lengths = " vs ".join(str(x.shape[0]) for x in series)
+def _hac(scores: np.ndarray, lag: int) -> np.ndarray:
+    """The Bartlett meat M of ``newey_west`` for score rows x_t u_t.
+
+    Row j of B sums the scores over the window of rows j-lag..j, zero-padded
+    at both ends. Two rows l <= lag apart share lag+1-l of those windows, so
+    B'B / (lag+1) weights their product by exactly 1 - l/(lag+1). The window
+    sums are lag+1 shifted adds, not differences of one running sum, which
+    would cancel. lag = 0 is scores' scores itself.
+    """
+    if lag == 0:
+        return scores.T @ scores
+    t = scores.shape[0]
+    windows = np.zeros((t + lag, scores.shape[1]))
+    for shift in range(lag + 1):
+        windows[shift: shift + t] += scores
+    return windows.T @ windows / (lag + 1.0)
+
+
+def _block_singular_values(m: int, s_bar: float, ss: float) -> tuple[float, float]:
+    """Singular values of the m x 2 block [1, s] whose shock has mean s_bar
+    and centred sum of squares ss: the square roots of the eigenvalues of
+    its Gram matrix [[m, m s_bar], [m s_bar, ss + m s_bar^2]], whose
+    determinant is m*ss. The discriminant is a sum of non-negative terms,
+    and the smaller value comes from the determinant, so neither cancels;
+    hypot and the split square roots keep the squares from overflowing."""
+    c = m * s_bar * s_bar
+    root = math.hypot(m - ss, math.sqrt(c) * math.sqrt(c + 2.0 * (m + ss)))
+    big = math.sqrt(0.5 * (m + ss + c + root))
+    return big, math.sqrt(m) * math.sqrt(ss) / big
+
+
+def _series(**named) -> list[np.ndarray]:
+    """The named series as flat float arrays of one common length, each
+    finite."""
+    series = {name: np.asarray(x, dtype=float).ravel() for name, x in named.items()}
+    if len({x.shape[0] for x in series.values()}) > 1:
+        lengths = " vs ".join(str(x.shape[0]) for x in series.values())
         raise ValueError(f"series length mismatch: {lengths}")
-    return series
+    for name, x in series.items():
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"{name} has a non-finite value ({x[i]}) at index {i}")
+    return list(series.values())
 
 
 def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     """One result per regime of ``regimes``, pairs of a label and a 0/1
     weight series dated at the shock. At each horizon the long difference is
-    regressed on [w, w*shock] for every weight w, with no other regressor."""
+    regressed on [w, w*shock] for every weight w, with no other regressor.
+
+    The regimes are disjoint, so the design's [w, w*shock] blocks are
+    orthogonal and each regime is its own two-column fit over its m usable
+    rows, solved in closed form about the regime's mean shock s_bar with
+    ss = sum (shock - s_bar)^2. Each block's Gram matrix has determinant
+    m*ss and the slope row of its inverse is [-s_bar, 1] / ss, so the
+    slope's HAC variance is the Bartlett meat of the scores
+    w * u * (shock - s_bar) / ss: no lstsq, SVD or matrix inverse runs.
+    """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     # ptp, not var: the mean of a constant series can round, so its
@@ -107,12 +144,9 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     shape = (len(regimes), horizon + 1)
     alpha, beta, se = np.empty(shape), np.empty(shape), np.empty(shape)
     n_obs = np.empty(shape, dtype=int)
-    # Columns [w, w*shock] per regime over every date t >= 1; the design at
-    # horizon h is its first t-1-h rows.
-    design = np.empty((t - 1, 2 * len(regimes)))
-    for r, (_, weight) in enumerate(regimes):
-        design[:, 2 * r] = weight[1:]
-        design[:, 2 * r + 1] = weight[1:] * shock[1:]
+    # The usable rows of each regime over every date t >= 1; at horizon h
+    # they are the first t-1-h of them.
+    in_regime = [(label, weight[1:] == 1.0) for label, weight in regimes]
     for h in range(horizon + 1):
         n_h = t - 1 - h
         # The HAC lag h+1 must also fit inside the usable sample.
@@ -120,26 +154,36 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
             raise DataError(f"too few usable observations at horizon {h} (n={n_h})")
         lhs = y[1 + h:] - y[:n_h]
         s = shock[1: t - h]
-        for r, (label, weight) in enumerate(regimes):
-            rows = weight[1: t - h] == 1.0
-            n_obs[r, h] = np.count_nonzero(rows)
-            if n_obs[r, h] < 3:
+        fits, sv = [], []
+        for r, (label, usable) in enumerate(in_regime):
+            rows = usable[:n_h]
+            m = n_obs[r, h] = np.count_nonzero(rows)
+            if m < 3:
                 raise DataError(
-                    f"regime {label} has too few usable observations "
-                    f"at horizon {h} (n={n_obs[r, h]})"
+                    f"regime {label} has too few usable observations at horizon {h} (n={m})"
                 )
-            if np.ptp(s[rows]) == 0.0:
+            # a pooled regime takes every row without a copy
+            if m == n_h:
+                rows = slice(None)
+            s_r = s[rows]
+            if np.ptp(s_r) == 0.0:
                 raise DataError(
                     f"constant shock over the usable sample of regime {label} at horizon {h}"
                 )
-        # One SVD per horizon: lstsq's singular values decide the rank check
-        # (the regime counts above leave at least as many rows as columns).
-        x = design[:n_h]
-        coef, _, _, sv = np.linalg.lstsq(x, lhs, rcond=None)
-        _check_singular_values(sv, _HAC_WHAT)
-        cov = _hac(x, lhs - x @ coef, h + 1)
-        alpha[:, h], beta[:, h] = coef[0::2], coef[1::2]
-        se[:, h] = np.sqrt(np.diag(cov)[1::2])
+            s_bar = s_r.sum() / m
+            dev = s_r - s_bar
+            ss = dev @ dev
+            fits.append((rows, m, s_bar, dev, ss))
+            sv += _block_singular_values(m, float(s_bar), float(ss))
+        _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
+        scores = np.zeros((n_h, len(regimes)))
+        for r, (rows, m, s_bar, dev, ss) in enumerate(fits):
+            y_r = lhs[rows]
+            y_bar = y_r.sum() / m
+            beta[r, h] = (dev @ y_r) / ss
+            alpha[r, h] = y_bar - beta[r, h] * s_bar
+            scores[rows, r] = dev * (y_r - y_bar - beta[r, h] * dev) / ss
+        se[:, h] = np.sqrt(np.diag(_hac(scores, h + 1)))
     return [
         LocalProjectionResult(np.arange(horizon + 1), *fields)
         for fields in zip(alpha, beta, se, n_obs)
@@ -148,7 +192,7 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
 
 def lp_irf(y: np.ndarray, shock: np.ndarray, horizon: int) -> LocalProjectionResult:
     """Local-projection responses of y to the shock over horizons 0..horizon."""
-    y, shock = _series(y, shock)
+    y, shock = _series(y=y, shock=shock)
     return _project(y, shock, [("all", np.ones(y.shape[0]))], horizon)[0]
 
 
@@ -161,7 +205,7 @@ def lp_irf_state(
     and no common intercept; point estimates coincide with split-sample
     regressions because the two regressor blocks are orthogonal.
     """
-    y, shock, dummy = _series(y, shock, dummy)
+    y, shock, dummy = _series(y=y, shock=shock, dummy=dummy)
     bad = np.setdiff1d(np.unique(dummy), [0.0, 1.0])
     if bad.size:
         raise DataError(f"dummy must be 0/1, found value {bad[0]!r}")

@@ -44,6 +44,14 @@ seed: 4
 horizon: 8
 """
 
+INDEX_YAML = """
+out: work
+index:
+  events: events.csv
+  sigma_v: 0.02
+  sigma_e: 0.02
+"""
+
 
 def run_pipeline(tmp_path):
     sim_cfg = write_yaml(tmp_path / "sim.yaml", SIMULATE_YAML)
@@ -706,6 +714,32 @@ class TestConfigAndExitCodes:
         cfg = write_yaml(tmp_path / "c.yaml", fixture.replace(old, new))
         assert cli.main([command, "--config", cfg]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "value", ['"abc"', "true", ".nan", ".inf", "0.0", "-1.0"],
+        ids=["string", "bool", "nan", "inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize(
+        "command, old, new, key",
+        [
+            ("estimate", "prior: {kind: flat}", "prior: {tightness: VALUE}", "prior tightness"),
+            ("estimate", "prior: {kind: flat}", "prior: {nu0: VALUE}", "prior nu0"),
+            ("index", "sigma_v: 0.02", "sigma_v: VALUE", "index sigma_v"),
+            ("index", "sigma_e: 0.02", "sigma_e: VALUE", "index sigma_e"),
+        ],
+        ids=["prior.tightness", "prior.nu0", "index.sigma_v", "index.sigma_e"],
+    )
+    def test_bad_positive_float_key_is_config_error(
+        self, tmp_path, capsys, command, old, new, key, value
+    ):
+        # before: tightness "abc" was a TypeError (exit 1), .nan "Eigenvalues
+        # did not converge" (exit 4) and true ran (exit 0); sigma_e .nan was
+        # "has no value; run assign_values first" (exit 3)
+        fixture = ESTIMATE_YAML if command == "estimate" else INDEX_YAML
+        cfg = write_yaml(tmp_path / "c.yaml", fixture.replace(old, new.replace("VALUE", value)))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert f"{key} must be a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
 
