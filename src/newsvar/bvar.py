@@ -30,8 +30,8 @@ _RANK_RTOL = 1e-10
 # (8 MB for n*p = 32).
 _EIGVALS_CHUNK = 1024
 
-# Squarings tried before the eigenvalue fallback: powers C^2, C^4, ..., C^64.
-_CERT_SQUARINGS = 6
+# Squarings tried before the eigenvalue fallback: powers C^2, C^4, ..., C^256.
+_CERT_SQUARINGS = 8
 # A power C^m certifies rho(C) < 1 when the bound on ||C^m||_F is below
 # 1 - margin, and rho(C) > 1 when the lower bound on |tr C^m| exceeds
 # np * (1 + margin); the margin keeps the final comparison clear of its
@@ -431,16 +431,13 @@ def posterior_sample(
 ) -> PosteriorDraws:
     """Exact conjugate sampling from the NIW posterior.
 
-    Each draw's randomness derives from (seed, draw index) via spawned seed
-    sequences, so the output is reproducible bit-for-bit and independent of
-    any internal scheduling; the draws are also prefix-stable in n_draws.
-
-    Each child generator fills the Bartlett factor A in the order of scipy's
-    ``invwishart`` (off-diagonal normals, then chi-square diagonal), then
-    the coefficient normals z. With C = chol(S_bar), a draw is
-    Sigma = (C A^-1)(C A^-1)' and B = B_bar + chol(Omega_bar) z (C A^-1)',
-    computed for all draws at once; the draws equal a per-draw
-    ``scipy.stats.invwishart`` sampler up to rounding.
+    Three generators spawned from ``seed`` each fill one quantity for all
+    draws, in draw order: the off-diagonal normals and the chi-square
+    diagonal of the Bartlett factor A, then the coefficient normals z. The
+    output is reproducible bit-for-bit per seed, prefix-stable in n_draws
+    and independent of chunking, but draw i cannot be generated alone.
+    With C = chol(S_bar), Sigma = (C A^-1)(C A^-1)' and
+    B = B_bar + chol(Omega_bar) z (C A^-1)', for all draws at once.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -460,18 +457,12 @@ def posterior_sample(
     k = b_post.shape[0]
     rows, cols = np.tril_indices(n, k=-1)
     diag = np.arange(n)
-    chi_df = (nu_post - n + 1) + diag
-    offdiag = np.empty((n_draws, rows.size))
-    chi2 = np.empty((n_draws, n))
-    z = np.empty((n_draws, k, n))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_draws)):
-        rng = np.random.default_rng(child)
-        rng.standard_normal(out=offdiag[i])
-        chi2[i] = rng.chisquare(chi_df)
-        rng.standard_normal(out=z[i])
+    streams = np.random.SeedSequence(seed).spawn(3)
+    offdiag_rng, chi2_rng, z_rng = map(np.random.default_rng, streams)
     bartlett = np.zeros((n_draws, n, n))
-    bartlett[:, rows, cols] = offdiag
-    bartlett[:, diag, diag] = np.sqrt(chi2)
+    bartlett[:, rows, cols] = offdiag_rng.standard_normal((n_draws, rows.size))
+    bartlett[:, diag, diag] = np.sqrt(chi2_rng.chisquare((nu_post - n + 1) + diag, (n_draws, n)))
+    z = z_rng.standard_normal((n_draws, k, n))
     # A' is upper triangular, so the solve is a pure back substitution and
     # (C A^-1)' = A'^-1 C' keeps its exact triangular zeros.
     chol_sigma_t = np.linalg.solve(bartlett.transpose(0, 2, 1), chol_scale.T)

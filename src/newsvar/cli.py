@@ -227,6 +227,11 @@ def _canonical(config: RunConfig) -> dict:
     return doc
 
 
+def _finite_number(value) -> bool:
+    """A finite int or float; a bool is not taken as a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _validate(config: RunConfig) -> None:
     integers = [
         ("seed", config.seed, 0),
@@ -257,12 +262,7 @@ def _validate(config: RunConfig) -> None:
     if config.lp is not None:
         positive.append(("lp band_se", config.lp.band_se))
     for key, value in positive:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or value <= 0
-        ):
+        if not _finite_number(value) or value <= 0:
             raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
     if len(set(config.variables)) != len(config.variables):
         raise ConfigError(f"variables list contains duplicates: {config.variables}")
@@ -286,7 +286,7 @@ def _validate(config: RunConfig) -> None:
         if not config.rescale.variable:
             raise ConfigError("rescale requires a target variable")
         value = config.rescale.value
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value == 0:
+        if not _finite_number(value) or value == 0:
             raise ConfigError(f"rescale value must be a finite non-zero number, got {value!r}")
         if config.rescale.horizon > config.horizon:
             raise ConfigError(

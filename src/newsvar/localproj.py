@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvar import _check_full_rank, _check_singular_values
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .panel import write_csv, write_json
 
 _HAC_WHAT = "regressor matrix in HAC estimator"
@@ -175,7 +175,15 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
             ss = dev @ dev
             fits.append((rows, m, s_bar, dev, ss))
             sv += _block_singular_values(m, float(s_bar), float(ss))
-        _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
+        try:
+            _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
+        except NumericalError:
+            # ss underflows below a shock spread of ~1e-154; report exact values
+            for r, (rows, m, _, dev, _) in enumerate(fits):
+                scale = np.abs(s[rows]).max()
+                sv[2 * r + 1] = math.sqrt(m) * scale * np.linalg.norm(dev / scale) / sv[2 * r]
+            _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
+            raise
         scores = np.zeros((n_h, len(regimes)))
         for r, (rows, m, s_bar, dev, ss) in enumerate(fits):
             y_r = lhs[rows]

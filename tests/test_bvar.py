@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
 
 from newsvar import bvar
 from newsvar.bvar import (
@@ -240,18 +239,27 @@ class TestPosteriorSample:
 
 
 def reference_posterior_sample(fit, prior, spec, n_draws, seed):
-    """Per-draw NIW sampler written independently of the library: scipy's
-    inverse-Wishart draw from each spawned child generator, B from the
-    matric-normal with a re-factorised Sigma, and the companion spectral
-    radius of each draw."""
+    """Per-draw NIW sampler written independently of the batched algebra.
+    Draw i reads its share of the three streams spawned from ``seed`` in
+    turn (off-diagonal normals, chi-square diagonal, coefficient normals),
+    builds the Bartlett factor A, Sigma = (C A^-1)(C A^-1)' with
+    C = chol(S_bar), B from the matric-normal with a re-factorised Sigma,
+    and the companion spectral radius of each draw."""
     b_post, omega_post, s_post, nu_post = posterior_moments(fit, prior)
     chol_row = np.linalg.cholesky(omega_post)
+    chol_scale = np.linalg.cholesky(s_post)
     k, n = b_post.shape
+    offdiag_rng, chi2_rng, z_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
+    )
     draws = []
-    for child in np.random.SeedSequence(seed).spawn(n_draws):
-        rng = np.random.default_rng(child)
-        sigma = np.atleast_2d(stats.invwishart.rvs(df=nu_post, scale=s_post, random_state=rng))
-        z = rng.standard_normal((k, n))
+    for _ in range(n_draws):
+        a = np.zeros((n, n))
+        a[np.tril_indices(n, k=-1)] = offdiag_rng.standard_normal(n * (n - 1) // 2)
+        a[np.diag_indices(n)] = np.sqrt(chi2_rng.chisquare(nu_post - n + 1 + np.arange(n)))
+        factor = chol_scale @ np.linalg.inv(a)
+        sigma = factor @ factor.T
+        z = z_rng.standard_normal((k, n))
         b = b_post + chol_row @ z @ np.linalg.cholesky(sigma).T
         stable = spectral_radius(companion(b, spec)) < 1.0
         draws.append(PosteriorDraw(B=b, Sigma=sigma, stable=stable))
@@ -262,24 +270,28 @@ def max_rel_gap(actual, expected):
     return float(np.abs(actual - expected).max() / np.abs(expected).max())
 
 
+def persistent_var3_fit(intercept=True, lags=1):
+    """OLS fit of a persistent 3-variable VAR(1) on a short sample, so that
+    both stable and explosive posterior draws occur."""
+    dgp = Dgp(
+        B=np.array(
+            [[0.1 * intercept, -0.1 * intercept, 0.05 * intercept],
+             [0.97, 0.05, 0.0], [0.02, 0.6, 0.1], [0.0, -0.2, 0.5]]
+        ),
+        L=np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.7]]),
+        seed=23,
+    )
+    panel, _ = simulate_var(dgp, 80)
+    spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
+    return ols_estimate(*build_regressors(panel, spec)), spec
+
+
 class TestBatchedSamplerOracle:
     @pytest.mark.parametrize("kind", ["flat", "minnesota"])
     @pytest.mark.parametrize("intercept", [True, False])
     @pytest.mark.parametrize("lags", [1, 4])
     def test_matches_per_draw_invwishart_sampler(self, kind, intercept, lags):
-        # A persistent 3-variable VAR(1) on a short sample, so both stable
-        # and explosive draws occur.
-        dgp = Dgp(
-            B=np.array(
-                [[0.1 * intercept, -0.1 * intercept, 0.05 * intercept],
-                 [0.97, 0.05, 0.0], [0.02, 0.6, 0.1], [0.0, -0.2, 0.5]]
-            ),
-            L=np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.7]]),
-            seed=23,
-        )
-        panel, _ = simulate_var(dgp, 80)
-        spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
-        fit = ols_estimate(*build_regressors(panel, spec))
+        fit, spec = persistent_var3_fit(intercept, lags)
         prior = PriorSpec(kind=kind)
         got = posterior_sample(fit, prior, 60, seed=17)
         want = reference_posterior_sample(fit, prior, spec, 60, seed=17)
@@ -288,6 +300,59 @@ class TestBatchedSamplerOracle:
         assert max_rel_gap(got.B, want.B) <= 1e-12
         assert max_rel_gap(got.Sigma, want.Sigma) <= 1e-12
         assert_array_equal(got.stable, want.stable)
+
+    @pytest.mark.parametrize("kind", ["flat", "minnesota"])
+    def test_draw_means_match_niw_moments(self, kind):
+        # E[Sigma] = S_bar / (nu_bar - n - 1) under IW(S_bar, nu_bar) and
+        # E[B] = B_bar; every element within 4 Monte Carlo standard errors
+        fit, _ = persistent_var3_fit()
+        prior = PriorSpec(kind=kind)
+        b_post, _, s_post, nu_post = posterior_moments(fit, prior)
+        draws = posterior_sample(fit, prior, 20_000, seed=31)
+        for stacked, mean in ((draws.Sigma, s_post / (nu_post - 3 - 1)), (draws.B, b_post)):
+            mc_se = stacked.std(axis=0, ddof=1) / np.sqrt(len(draws))
+            assert np.all(np.abs(stacked.mean(axis=0) - mean) < 4.0 * mc_se)
+
+    def test_minnesota_draws_prefix_stable(self):
+        # the chi-square stream is drawn by rejection, so a draw's share of
+        # it varies; the first draw must still not depend on n_draws
+        fit, _ = persistent_var3_fit(lags=4)
+        one = posterior_sample(fit, PriorSpec(kind="minnesota"), 1, seed=9)
+        many = posterior_sample(fit, PriorSpec(kind="minnesota"), 257, seed=9)
+        assert_array_equal(one.B, many.B[:1])
+        assert_array_equal(one.Sigma, many.Sigma[:1])
+        assert_array_equal(one.stable, many.stable[:1])
+
+    def test_single_draw(self):
+        fit, _ = persistent_var3_fit()
+        draws = posterior_sample(fit, PriorSpec(kind="flat"), 1, seed=0)
+        assert (draws.B.shape, draws.Sigma.shape, draws.stable.shape) == ((1, 4, 3), (1, 3, 3), (1,))
+        assert np.linalg.eigvalsh(draws.Sigma[0])[0] > 0
+
+    def test_seeds_give_different_draws(self):
+        fit, _ = persistent_var3_fit()
+        a = posterior_sample(fit, PriorSpec(kind="minnesota"), 5, seed=0)
+        b = posterior_sample(fit, PriorSpec(kind="minnesota"), 5, seed=1)
+        assert (a.B != b.B).all()
+        assert (a.Sigma != b.Sigma).all()
+
+    @pytest.mark.parametrize("swap", [(0, 1), (0, 2), (1, 2)])
+    def test_each_quantity_reads_its_own_stream(self, monkeypatch, swap):
+        fit, _ = persistent_var3_fit()
+        prior = PriorSpec(kind="minnesota")
+        want = posterior_sample(fit, prior, 20, seed=5)
+        i, j = swap
+
+        class Swapped(np.random.SeedSequence):
+            def spawn(self, n_children):
+                children = super().spawn(n_children)
+                children[i], children[j] = children[j], children[i]
+                return children
+
+        monkeypatch.setattr(np.random, "SeedSequence", Swapped)
+        got = posterior_sample(fit, prior, 20, seed=5)
+        assert (got.B != want.B).any(axis=(1, 2)).all()
+        assert (got.Sigma != want.Sigma).any(axis=(1, 2)).all()
 
     def test_univariate_sigma_matches_reference(self):
         rng = np.random.default_rng(4)
@@ -478,14 +543,20 @@ class TestCertifiedStableFlags:
 
     def test_defective_companions(self, monkeypatch):
         rng = np.random.default_rng(8)
-        jordan4 = np.diag(np.full(4, 0.9)) + np.diag(np.ones(3), 1)
+
+        def jordan4(radius):
+            return np.diag(np.full(4, radius)) + np.diag(np.ones(3), 1)
+
         cases = [
             # (Jordan block, true radius, must reach the fallback)
             ([[0.999, 100.0], [0.0, 0.999]], 0.999, True),
             ([[1.001, 100.0], [0.0, 1.001]], 1.001, True),
-            (jordan4, 0.9, True),
+            (jordan4(0.995), 0.995, True),
+            (jordan4(1.005), 1.005, True),
+            # ||C^64||_F is about 68 but ||C^256||_F about 7e-6
+            (jordan4(0.9), 0.9, False),
             ([[0.5, 100.0], [0.0, 0.5]], 0.5, False),
-            # C^64 is below the margin, but the rounding bound of the first
+            # C^256 is below the margin, but the rounding bound of the first
             # square, gamma_32 * ||C||_F^2 ~ 35, is not
             ([[0.5, 1e8], [0.0, 0.5]], 0.5, True),
         ]

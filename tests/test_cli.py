@@ -572,7 +572,7 @@ class TestConfigAndExitCodes:
         )
         assert cli.main(["irf", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0.0", "zero"])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0.0", "zero", "true"])
     def test_bad_rescale_value_is_config_error(self, tmp_path, capsys, value):
         # before: exit 0 with nan cells, or every response to the shock zeroed
         cfg = write_yaml(

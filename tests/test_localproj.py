@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from newsvar import localproj
 from newsvar.bvar import _check_full_rank
 from newsvar.errors import DataError, NumericalError
 from newsvar.localproj import (
@@ -480,6 +481,28 @@ def test_near_collinear_shock_is_rank_deficient():
         lp_irf(y, shock, 4)
     with pytest.raises(NumericalError, match="rank-deficient regressor matrix in HAC"):
         lp_irf_state(y, shock, dummy, 4)
+
+
+def test_underflowing_shock_spread_reports_svd_condition_number(monkeypatch):
+    # the shock's centred sum of squares underflows to 0, which used to
+    # report "condition number inf, smallest singular value 0.000e+00"
+    rng = np.random.default_rng(23)
+    t = 120
+    shock = 1e-200 * rng.normal(size=t)
+    checked = []
+    check = localproj._check_singular_values
+
+    def recorded(sv, what):
+        checked.append(np.array(sv))
+        check(sv, what)
+
+    monkeypatch.setattr(localproj, "_check_singular_values", recorded)
+    with pytest.raises(NumericalError) as err:
+        lp_irf(rng.normal(size=t), shock, 3)
+    want = np.linalg.svd(np.column_stack([np.ones(t - 1), shock[1:]]), compute_uv=False)
+    cond = want[0] / want[-1]
+    assert_allclose(checked[-1][0] / checked[-1][-1], cond, rtol=1e-12)
+    assert f"condition number {cond:.3e}, smallest singular value {want[-1]:.3e}" in str(err.value)
 
 
 @pytest.mark.parametrize("seed", range(20))
