@@ -14,6 +14,7 @@ in log levels, so unit roots are admissible.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -196,12 +197,15 @@ def _check_full_rank(x: np.ndarray, what: str = "X") -> None:
 def _check_singular_values(sv: np.ndarray, what: str) -> None:
     """NumericalError unless the descending singular values ``sv`` of a
     matrix with at least as many rows as columns show full column rank
-    (tolerance _RANK_RTOL)."""
-    if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+    (tolerance _RANK_RTOL). A non-finite value fails, as NaN would pass
+    the ratio test: it compares False."""
+    big, small = float(sv[0]), float(sv[-1])
+    finite = math.isfinite(big) and math.isfinite(small)
+    if not finite or big == 0.0 or small <= _RANK_RTOL * big:
+        cond = math.inf if small == 0.0 else big / small
         raise NumericalError(
             f"rank-deficient {what}: condition number {cond:.3e}, "
-            f"smallest singular value {sv[-1]:.3e}"
+            f"smallest singular value {small:.3e}"
         )
 
 

@@ -236,7 +236,7 @@ def _validate(config: RunConfig) -> None:
     integers = [
         ("seed", config.seed, 0),
         ("draws", config.draws, 1),
-        ("horizon", config.horizon, 0),
+        ("horizon", config.horizon, 1),
         ("lags", config.lags, 1),
     ]
     if config.rescale is not None:

@@ -132,7 +132,8 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     ss = sum (shock - s_bar)^2. Each block's Gram matrix has determinant
     m*ss and the slope row of its inverse is [-s_bar, 1] / ss, so the
     slope's HAC variance is the Bartlett meat of the scores
-    w * u * (shock - s_bar) / ss: no lstsq, SVD or matrix inverse runs.
+    w * u * (shock - s_bar) / ss: no lstsq, SVD or matrix inverse runs,
+    except an SVD for the message when the rank check fails.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -172,17 +173,21 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
                 )
             s_bar = s_r.sum() / m
             dev = s_r - s_bar
-            ss = dev @ dev
+            # an overflowed ss gives non-finite singular values, which fail
+            # the rank check below; past the product, the closed form runs
+            # on Python numbers, which overflow without a warning
+            with np.errstate(over="ignore"):
+                ss = dev @ dev
             fits.append((rows, m, s_bar, dev, ss))
-            sv += _block_singular_values(m, float(s_bar), float(ss))
+            sv += _block_singular_values(int(m), float(s_bar), float(ss))
         try:
             _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
         except NumericalError:
-            # ss underflows below a shock spread of ~1e-154; report exact values
-            for r, (rows, m, _, dev, _) in enumerate(fits):
-                scale = np.abs(s[rows]).max()
-                sv[2 * r + 1] = math.sqrt(m) * scale * np.linalg.norm(dev / scale) / sv[2 * r]
-            _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
+            # ss under- or overflows beyond a shock spread of ~1e-154 or
+            # ~1e154, so the closed form cannot report the values; the SVD can
+            blocks = [np.column_stack([np.ones(m), s[rows]]) for rows, m, *_ in fits]
+            exact = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+            _check_singular_values(np.sort(exact)[::-1], _HAC_WHAT)
             raise
         scores = np.zeros((n_h, len(regimes)))
         for r, (rows, m, s_bar, dev, ss) in enumerate(fits):

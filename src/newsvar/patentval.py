@@ -22,7 +22,6 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, NumericalError
 from .panel import format_quarter, open_input, parse_quarter, quarter_range, write_csv
@@ -149,7 +148,11 @@ def _scalar_or_array(x):
 
 
 def _mills_ratio(z):
-    # phi(z)/Phi(z), stable for arbitrarily negative z via erfcx.
+    # phi(z)/Phi(z), stable for arbitrarily negative z via erfcx. Imported
+    # here, not at module level: scipy.special costs about 0.35 s of start-up,
+    # and only the index command values patents.
+    from scipy import special
+
     return _scalar_or_array(
         math.sqrt(2.0 / math.pi) / special.erfcx(-np.asarray(z, dtype=float) / math.sqrt(2.0))
     )

@@ -14,6 +14,7 @@ import newsvar
 from newsvar import cli
 from newsvar.bvar import posterior_sample
 from newsvar.panel import load_panel
+from newsvar.patentval import filter_value
 
 
 def write_yaml(path, text):
@@ -243,6 +244,14 @@ horizon: 4
             np.save(path, np.load(path)[cut])
         assert cli.main(["irf", "--config", cfg]) == 3
 
+    def test_zero_horizon_is_config_error(self, tmp_path, capsys):
+        # before: exit 4, "numerical error: need at least two horizons to
+        # plot", after irf.csv had been written
+        cfg = self.estimate(tmp_path)
+        assert cli.main(["irf", "--config", cfg, "--horizon", "0"]) == 2
+        assert "horizon must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "irf.csv").exists()
+
     def test_missing_array_is_data_error(self, tmp_path):
         cfg = self.estimate(tmp_path)
         (tmp_path / "work" / "posterior_covariances.npy").unlink()
@@ -275,6 +284,44 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "False"
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this
+    checkout's ``newsvar``."""
+    src = str(Path(newsvar.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["newsvar", "newsvar.cli"])
+def test_cli_import_leaves_scipy_special_unloaded(module):
+    # only the index command's valuation needs it (patentval._mills_ratio)
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"
+    )
+    assert fresh_python(probe) == "[]"
+
+
+def test_deferred_special_import_gives_the_same_values():
+    # strongly negative returns are where erfcx, not a naive phi/Phi, matters
+    returns = [-0.5, -0.2, -0.08, -0.03, -0.004, 0.0, 1e-3, 0.01, 0.07, 0.3]
+    probe = (
+        "import sys\n"
+        "from newsvar.patentval import filter_value\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        f"print([v.hex() for v in filter_value({returns!r}, 0.02, 0.01, 3e9).tolist()])"
+    )
+    fresh = fresh_python(probe)
+    in_process = filter_value(returns, 0.02, 0.01, 3e9).tolist()
+    assert fresh == str([v.hex() for v in in_process])
 
 
 class TestDecompose:
@@ -458,6 +505,13 @@ lp:
         assert abs(pre["beta"][0] - 1.0) <= 3.0 * pre["se"][0]
         assert abs(post["beta"][0] - 2.0) <= 3.0 * post["se"][0]
 
+
+    def test_zero_horizon_is_config_error(self, tmp_path, capsys):
+        # before: exit 4, "numerical error: need at least two horizons to plot"
+        cfg = self.lp_config(tmp_path)
+        assert cli.main(["lp", "--config", cfg, "--horizon", "0"]) == 2
+        assert "horizon must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("lpout/lp_*.csv"))
 
     @pytest.mark.parametrize("value", [".nan", "-1.0", "wide"])
     def test_bad_band_se_is_config_error(self, tmp_path, capsys, value):

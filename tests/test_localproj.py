@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -501,6 +503,46 @@ def test_underflowing_shock_spread_reports_svd_condition_number(monkeypatch):
         lp_irf(rng.normal(size=t), shock, 3)
     want = np.linalg.svd(np.column_stack([np.ones(t - 1), shock[1:]]), compute_uv=False)
     cond = want[0] / want[-1]
+    assert_allclose(checked[-1][0] / checked[-1][-1], cond, rtol=1e-12)
+    assert f"condition number {cond:.3e}, smallest singular value {want[-1]:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["pooled", "split"])
+def test_overflowing_shock_spread_is_rank_deficient(monkeypatch, split):
+    # the shock's centred sum of squares overflows to inf, which used to give
+    # NaN singular values that passed the rank check: beta 0 and se 0 at
+    # every horizon, with overflow warnings
+    rng = np.random.default_rng(0)
+    t = 200
+    y = rng.normal(size=t)
+    shock = 1e200 * rng.normal(size=t)
+    dummy = (np.arange(t) >= t // 2).astype(float)
+    checked = []
+    check = localproj._check_singular_values
+
+    def recorded(sv, what):
+        checked.append(np.array(sv))
+        check(sv, what)
+
+    monkeypatch.setattr(localproj, "_check_singular_values", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError) as err:
+            if split:
+                lp_irf_state(y, shock, dummy, 2)
+            else:
+                lp_irf(y, shock, 2)
+    # the regime blocks are orthogonal, so the design's singular values are
+    # the blocks'; an SVD of the whole split design cannot resolve its
+    # smallest ones next to the largest
+    s, d = shock[1:], dummy[1:]
+    blocks = [d == 1.0, d == 0.0] if split else [np.ones(t - 1, dtype=bool)]
+    want = np.sort(np.concatenate([
+        np.linalg.svd(np.column_stack([np.ones(rows.sum()), s[rows]]), compute_uv=False)
+        for rows in blocks
+    ]))[::-1]
+    cond = want[0] / want[-1]
+    assert cond > 1e199
     assert_allclose(checked[-1][0] / checked[-1][-1], cond, rtol=1e-12)
     assert f"condition number {cond:.3e}, smallest singular value {want[-1]:.3e}" in str(err.value)
 
