@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
 import itertools
 import math
 import operator
@@ -32,6 +34,24 @@ _REQUIRED = ("grant_date", "firm_id", "green", "window_return", "market_cap")
 _BLOCK_ROWS = 1 << 12
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _GREEN = {"0": False, "1": True}
+# Field types of the columnar reader. A string field is one code unit wider
+# than the longest cell it accepts: loadtxt cuts a longer cell to the
+# width, so a full field may hold a cut cell.
+_FIRM_WIDTH = 32
+_FAST_DTYPES = {
+    "grant_date": "U11",
+    "firm_id": f"U{_FIRM_WIDTH}",
+    "green": "U2",
+    "window_return": "f8",
+    "market_cap": "f8",
+    "sigma_e": "f8",
+}
+# Characters of a text block handed to loadtxt, about 1 MB of ASCII.
+_FAST_CHARS = 1 << 20
+# The columnar reader refuses text holding a quote (csv would unquote the
+# cell), a NUL (a trailing one looks like string padding) or U+001C..U+001F
+# (loadtxt skips them around a float as whitespace, float() refuses them).
+_FAST_UNSAFE = '"\0\x1c\x1d\x1e\x1f'
 
 
 @dataclass
@@ -375,29 +395,155 @@ def _parse_block(rows, col: dict[str, int], width: int, memos: dict, first: int)
     )
 
 
+def _columns(reader) -> tuple[dict[str, int], int]:
+    """Column index of each name in the header, the first row of the csv
+    ``reader``, and the header's width. A required column that is missing,
+    or a column the loader reads that appears twice, is a DataError."""
+    header = next(reader, None) or []
+    missing = set(_REQUIRED) - set(header)
+    if missing:
+        raise DataError(f"events file missing columns {sorted(missing)}")
+    for name in (*_REQUIRED, "sigma_e"):
+        if header.count(name) > 1:
+            raise DataError(f"events file has duplicate column {name!r}")
+    return {name: i for i, name in enumerate(header)}, len(header)
+
+
+def _joined(blocks) -> PatentEvents:
+    if not blocks:
+        return PatentEvents.stack([])
+    return PatentEvents(*map(np.concatenate, zip(*blocks)))
+
+
+def _parse_rows(path) -> PatentEvents:
+    """Events of ``path`` through ``csv.reader``: any file ``load_events``
+    accepts, and the source of its every error message."""
+    with open_input(path, "events") as fh:
+        reader = csv.reader(fh)
+        col, width = _columns(reader)
+        rows = filter(None, reader)
+        memos = {"grant_date": {}, "green": {}, "firm_id": {}}
+        blocks, first = [], 2
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            blocks.append(_parse_block(block, col, width, memos, first))
+            first += len(block)
+    return _joined(blocks)
+
+
+def _sigma_cell(cell: str) -> float:
+    """A sigma_e cell as ``_parse_block`` reads it: empty is NaN, anything
+    else ``float``; a value that block would refuse raises."""
+    if not cell:
+        return math.nan
+    value = float(cell)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"sigma_e {cell!r}")
+    return value
+
+
+def _iso_days(cells: np.ndarray) -> np.ndarray | None:
+    """Days since 1970-01-01 of ``U11`` cells, each of which must be
+    exactly YYYY-MM-DD with year >= 1 and a day in its month, the cells on
+    which ``date.fromisoformat`` and this agree; None if any cell is not."""
+    code = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), 11)
+    digits = code[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0")  # wraps below "0"
+    shape_ok = (digits < 10).all() & (code[:, [4, 7]] == ord("-")).all()
+    if not (shape_ok and (code[:, 10] == 0).all()):
+        return None
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    if (year < 1).any() or (month < 1).any() or (month > 12).any() or (day < 1).any():
+        return None
+    first = (year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1)
+    start = first.astype("datetime64[D]").astype(np.int64)
+    if (day > (first + 1).astype("datetime64[D]").astype(np.int64) - start).any():
+        return None
+    return start + (day - 1)
+
+
+def _whole_firm(cell: str) -> str | None:
+    """A firm_id cell that ``_parse_block`` keeps as it is and loadtxt
+    cannot have cut, else None."""
+    return cell if len(cell) < _FIRM_WIDTH and cell.strip() == cell else None
+
+
+def _columnar_block(records: np.ndarray, memo: dict) -> tuple | None:
+    """Event columns of one ``loadtxt`` block, or None when a guard fails:
+    each column equals what ``_parse_block`` makes of the same rows only
+    where every guard holds. ``memo`` carries the firms between blocks."""
+    n = len(records)
+    day = _iso_days(records["grant_date"])
+    flag = np.ascontiguousarray(records["green"]).view(np.uint32).reshape(n, 2)
+    green = flag[:, 0] == ord("1")
+    firm, bad_firm = _memoised(records["firm_id"].tolist(), memo, _whole_firm)
+    ret, cap = records["window_return"].copy(), records["market_cap"].copy()
+    if (
+        day is None
+        or bad_firm is not None
+        or not (((flag[:, 0] == ord("0")) | green) & (flag[:, 1] == 0)).all()
+        or not (np.isfinite(ret).all() and np.isfinite(cap).all() and (cap > 0).all())
+    ):
+        return None
+    sigma = records["sigma_e"].copy() if "sigma_e" in records.dtype.names else np.full(n, np.nan)
+    return (
+        day.view("datetime64[D]"),
+        _objects(firm),
+        green,
+        ret,
+        cap,
+        sigma,
+        np.full(n, np.nan),
+    )
+
+
+def _load_columnar(path) -> PatentEvents | None:
+    """Events of ``path`` through numpy's C ``loadtxt``, a block of lines
+    at a time, or None as soon as a block holds anything its guards cannot
+    show ``_parse_rows`` reads the same way."""
+    with open_input(path, "events") as fh:
+        col, _ = _columns(csv.reader(fh))
+        names = [name for name in _FAST_DTYPES if name in col]
+        read = functools.partial(
+            np.loadtxt,
+            dtype=[(name, _FAST_DTYPES[name]) for name in names],
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=[col[name] for name in names],
+            converters={col["sigma_e"]: _sigma_cell} if "sigma_e" in col else None,
+            ndmin=1,
+        )
+        memo, blocks = {}, []
+        try:
+            while text := fh.read(_FAST_CHARS):
+                text += fh.readline()
+                if any(char in text for char in _FAST_UNSAFE):
+                    return None
+                if not text.strip("\r\n"):
+                    continue
+                block = _columnar_block(read(io.StringIO(text, newline="")), memo)
+                if block is None:
+                    return None
+                blocks.append(block)
+        except ValueError:  # loadtxt refused a cell or row, or the file is not UTF-8
+            return None
+    return _joined(blocks)
+
+
 def load_events(path) -> PatentEvents:
     """Read events from CSV with columns grant_date (ISO), firm_id,
     green (0/1), window_return, market_cap, and optional sigma_e (an empty
     cell means the default). window_return, market_cap and a given sigma_e
     must be finite; market_cap and a given sigma_e must be > 0. A bad cell
     raises DataError naming its row (the header is row 1; blank lines are
-    skipped and not counted)."""
-    with open_input(path, "events") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        missing = set(_REQUIRED) - set(header)
-        if missing:
-            raise DataError(f"events file missing columns {sorted(missing)}")
-        col = {name: i for i, name in enumerate(header)}
-        rows = filter(None, reader)
-        memos = {"grant_date": {}, "green": {}, "firm_id": {}}
-        blocks, first = [], 2
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            blocks.append(_parse_block(block, col, len(header), memos, first))
-            first += len(block)
-    if not blocks:
-        return PatentEvents.stack([])
-    return PatentEvents(*map(np.concatenate, zip(*blocks)))
+    skipped and not counted); a missing or repeated column is a DataError.
+
+    Files are first read through numpy's C ``loadtxt``, which returns only
+    columns equal to the csv parser's; any file it cannot vouch for, and
+    every error, goes to the csv parser."""
+    events = _load_columnar(path)
+    return _parse_rows(path) if events is None else events
 
 
 def write_index(idx: InnovationIndex, path, date_column: str = "date") -> None:

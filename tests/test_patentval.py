@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import datetime as dt
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -574,6 +579,245 @@ class TestColumnarOracle:
         monkeypatch.setattr(patentval, "filter_value", counted)
         assign_values(load_events(events_file), 0.02, 0.03)
         assert len(calls) == 1
+
+
+def _load_through_cli(path):
+    """``load_events`` as the index command meets it: runs ``index`` on
+    ``path``; a file the command refuses must be exit 3, and its message
+    is raised again as the DataError the loader gave."""
+    config = path.parent / "cli_run.yaml"
+    config.write_text(
+        f"out: {path.parent / 'cli_out'}\nseed: 0\nindex:\n  events: {path}\n"
+        "  sigma_v: 0.02\n  sigma_e: 0.02\n",
+        encoding="utf-8",
+    )
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["index", "--config", str(config)])
+    if code == 0:
+        return patentval.load_events(path)
+    assert code == 3, stderr.getvalue()
+    raise DataError(stderr.getvalue().removeprefix("data error: ").removesuffix("\n"))
+
+
+class TestEventsIoThroughCli(TestEventsIo):
+    """Every TestEventsIo case again, with each load going through the
+    index command: a malformed events file exits 3 with the parser's
+    message, never 4 through a numpy error."""
+
+    @pytest.fixture(autouse=True)
+    def through_cli(self, monkeypatch):
+        monkeypatch.setitem(globals(), "load_events", _load_through_cli)
+
+
+def _write_benchmark_shaped_events(path, count=3000):
+    """Events laid out as the benchmark generator writes them: no sigma_e
+    column, sorted by (day, firm), firms named firm<k>, floats as repr."""
+    rng = np.random.default_rng(5)
+    first = np.datetime64("1961-01-01")
+    day = np.sort(rng.integers(0, 56 * 365, count))
+    dates = np.datetime_as_string(first + day).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("grant_date,firm_id,green,window_return,market_cap\n")
+        fh.writelines(
+            f"{d},firm{f},{g},{float(r)!r},{float(c)!r}\n"
+            for d, f, g, r, c in zip(
+                dates,
+                rng.integers(0, 400, count).tolist(),
+                (rng.uniform(size=count) < 0.35).astype(int).tolist(),
+                0.004 * rng.standard_normal(count),
+                np.exp(rng.normal(22.0, 1.0, count)),
+            )
+        )
+
+
+def assert_same_events(got, want):
+    for name in ("grant_date", "green", "window_return", "market_cap", "sigma_e", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.firm_id.dtype == want.firm_id.dtype == object
+    assert got.firm_id.tolist() == want.firm_id.tolist()
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Both loads raised the same DataError message, or gave equal columns."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_events(got, want)
+
+
+_DATES = ["1999-05-01", "2016-12-31", "1961-01-01", "0001-01-01", "9999-12-31"]
+_ODD_DATES = [
+    "1961-01", "19610101", "0000-01-01", "1961-02-29", "2000-02-29", "1900-02-29",
+    "1999-13-01", "1999-04-31", "1999-5-1", " 1999-05-01", "1999-05-01\u3000",
+    "\u0661999-05-01", "1999-05-01T00", "1999-05-010", "", "1999-05-01\x00",
+    "1999\u201005\u201001", '"1999-05-01"',
+]
+_FLOATS = ["0.02", "-0.01", "1e9", "3012345678.123456", "5e-324", "1.7976931348623157e308"]
+_ODD_FLOATS = [
+    "1_0", "\u0661", "\u0661.5", "nan", "inf", "-inf", "Infinity", "NaN", " 0.5",
+    "0.5\u3000", "\u20000.5", "\x1c0.5", "0.5\x1f", "\x0b0.5", "\x850.5", "0.5\xa0", "",
+    " ", "1e400", "1e-400", "0", "-0.0", "-1", "abc", "0x10", "1,5", "0.5\x00", '"0.5"',
+]
+_FIRMS = ["acme", "firm299", "Acme Corp", "f", "x" * 31, "\xe9t\xe9", "\ufeffacme"]
+_ODD_FIRMS = [
+    "", " acme", "acme ", "acme\u3000", "\u2028acme", "acme\x85", "a\x1cb", "\x1facme",
+    "x" * 32, "y" * 200, "a\x00", "\x00", 'a"b', '"acme"', "a,b", "a\x0bb", "a\x0cb",
+    "a\u2029",
+]
+_GREENS = ["0", "1"]
+_ODD_GREENS = [" 1", "1 ", "2", "01", "", "\u0661", "true", "0\x00", '"1"']
+
+
+_CELLS = {
+    "grant_date": (_DATES, _ODD_DATES),
+    "firm_id": (_FIRMS, _ODD_FIRMS),
+    "green": (_GREENS, _ODD_GREENS),
+    "window_return": (_FLOATS, _ODD_FLOATS),
+    "market_cap": (_FLOATS[2:], _ODD_FLOATS),
+    "sigma_e": (["", "0.05", "0.003"], _ODD_FLOATS),
+    "note": (["x", ""], ['"', "\r\n", ","]),
+}
+_ODD_TEXT = st.text(st.sampled_from("0x1- \t\u3000\x1c\x00\",\r\n\x85\u0661_"), max_size=12)
+
+
+@st.composite
+def events_files(draw):
+    """Bytes of a valid events file with up to three oddities: an odd
+    cell; a row short, long, blank, or blank but for whitespace; a row of
+    quoted cells; a column dropped or repeated; a BOM. Columns come in any
+    order, with or without sigma_e and an extra column, and lines end in
+    LF, CRLF or a lone CR. Few oddities keep many files clean enough for
+    the fast path, so that one odd cell is met among valid ones."""
+    names = list(patentval._REQUIRED)
+    names += draw(st.sampled_from([[], ["sigma_e"], ["note"], ["sigma_e", "note"]]))
+    names = draw(st.permutations(names))
+    rows = [
+        [draw(st.sampled_from(_CELLS[name][0])) for name in names]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    bom = ""
+    for _ in range(draw(st.integers(0, 3))):
+        odd = draw(st.sampled_from(["cell"] * 6 + ["shape", "quote", "columns", "bom"]))
+        row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+        if odd == "cell" and row:
+            j = draw(st.integers(0, len(row) - 1))
+            odd_cells = _CELLS[names[j] if j < len(names) else "note"][1]
+            row[j] = draw(st.one_of(st.sampled_from(odd_cells), _ODD_TEXT))
+        elif odd == "shape" and row is not None:
+            shape = draw(st.sampled_from(["short", "long", "blank", "spaces"]))
+            if shape == "short":
+                del row[draw(st.integers(0, max(len(row) - 1, 0))):]
+            elif shape == "long":
+                row.append(draw(st.sampled_from(_CELLS["note"][0] + _CELLS["note"][1])))
+            else:
+                row[:] = [] if shape == "blank" else [draw(st.sampled_from([" ", "\t", "\u3000"]))]
+        elif odd == "quote" and row is not None:
+            row[:] = ['"' + cell.replace('"', '""') + '"' for cell in row]
+        elif odd == "columns":
+            names = names[1:] if draw(st.booleans()) else names + [draw(st.sampled_from(names))]
+        elif odd == "bom":
+            bom = "\ufeff"
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = bom + end.join(",".join(cells) for cells in [names] + rows)
+    if draw(st.booleans()):
+        text += end
+    return text.encode("utf-8")
+
+
+def assert_fast_path_exact(path):
+    """The fast path hands ``path`` on (None) or reads it as the parser
+    does, error included; ``load_events`` always reads it as the parser."""
+    want = _outcome(patentval._parse_rows, path)
+    fast = _outcome(patentval._load_columnar, path)
+    for got in (_outcome(load_events, path),) + (() if fast is None else (fast,)):
+        assert_same_outcome(got, want)
+
+
+class TestColumnarReader:
+    """The numpy fast path of ``load_events`` against the csv parser."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=events_files(), chars=st.sampled_from([1, 7, 40, 1 << 20]))
+    def test_fast_path_equals_parser(self, tmp_path_factory, data, chars):
+        path = tmp_path_factory.mktemp("fuzz") / "events.csv"
+        path.write_bytes(data)
+        with mock.patch.object(patentval, "_FAST_CHARS", chars):
+            assert_fast_path_exact(path)
+
+    @pytest.mark.parametrize("name, cell", [
+        (name, cell) for name in (*patentval._REQUIRED, "sigma_e") for cell in _CELLS[name][1]
+    ])
+    def test_one_odd_cell_among_valid_rows(self, tmp_path, name, cell):
+        header = [*patentval._REQUIRED, "sigma_e"]
+        good = [_CELLS[column][0][0] for column in header]
+        odd = [cell if column == name else value for column, value in zip(header, good)]
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "".join(",".join(row) + "\n" for row in (header, good, odd, good)),
+            encoding="utf-8",
+            newline="",
+        )
+        assert_fast_path_exact(path)
+
+    @pytest.mark.parametrize("chars", [1 << 14, 1 << 20])
+    def test_fast_path_is_taken(self, tmp_path, monkeypatch, chars):
+        oracle = tmp_path / "oracle.csv"
+        _write_oracle_events(oracle)
+        shaped = tmp_path / "shaped.csv"
+        _write_benchmark_shaped_events(shaped)
+        want = {path: patentval._parse_rows(path) for path in (oracle, shaped)}
+
+        def parse_block(*args):
+            raise AssertionError("the csv parser ran")
+
+        monkeypatch.setattr(patentval, "_FAST_CHARS", chars)
+        monkeypatch.setattr(patentval, "_parse_block", parse_block)
+        for path, events in want.items():
+            assert_same_events(load_events(path), events)
+        # the oracle file gives empty and given sigma_e cells
+        assert 0 < np.isnan(want[oracle].sigma_e).sum() < len(want[oracle])
+
+    HEADER = b"grant_date,firm_id,green,window_return,market_cap"
+
+    @pytest.mark.parametrize("data", [
+        HEADER + b'\n"1999-05-01",acme,1,0.02,1e9\n',
+        HEADER + b"\r\n1999-05-01,acme,1,0.02,1e9\r\n",
+        HEADER + b"\n1999-05-01,acme,1,0.02,1e9\n\n",
+        HEADER + b"\n1999-05-01,acme,1,0.02,1e9",
+        HEADER + b",sigma_e\n1999-05-01,acme,1,0.02,1e9\n",
+        HEADER + b"\n",
+        HEADER + b"\n\n\r\n",
+        HEADER + b"\n1999-05-01,acme,1,0.02,1e9\n1999-05-02,\xff,1,0.02,1e9\n",
+    ], ids=["quoted", "crlf", "trailing-blank", "no-final-newline", "short-sigma", "no-rows",
+            "blank-rows", "not-utf-8"])
+    def test_edge_files_load_as_parser_reads_them(self, tmp_path, data):
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        assert_same_outcome(_outcome(load_events, path), _outcome(patentval._parse_rows, path))
+
+    @pytest.mark.parametrize("name", ["market_cap", "sigma_e", "grant_date"])
+    def test_duplicate_column_is_data_error(self, tmp_path, capsys, name):
+        header = ["grant_date", "firm_id", "green", "window_return", "market_cap", "sigma_e"]
+        path = tmp_path / "events.csv"
+        path.write_text(
+            ",".join(header + [name]) + "\n1999-05-01,acme,1,0.02,1e9,,1999-05-02\n",
+            encoding="utf-8",
+        )
+        message = f"events file has duplicate column {name!r}"
+        for load in (load_events, patentval._parse_rows):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                load(path)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            _load_through_cli(path)
 
 
 class TestArrayFilter:
