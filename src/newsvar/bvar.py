@@ -68,13 +68,15 @@ class VarSpec:
 @dataclass
 class OlsFit:
     """OLS estimate of the reduced-form VAR, kept together with the data
-    matrices so posterior updates need no re-assembly."""
+    matrices so posterior updates need no re-assembly. ``spec`` is the VAR
+    layout of Y and X; the posterior functions need it."""
 
     B: np.ndarray
     Sigma: np.ndarray
     residuals: np.ndarray
     X: np.ndarray
     Y: np.ndarray
+    spec: VarSpec | None = None
 
 
 @dataclass
@@ -209,8 +211,10 @@ def _check_singular_values(sv: np.ndarray, what: str) -> None:
         )
 
 
-def ols_estimate(y: np.ndarray, x: np.ndarray) -> OlsFit:
-    """Equation-by-equation OLS; Sigma uses the MLE denominator (rows of Y)."""
+def ols_estimate(y: np.ndarray, x: np.ndarray, spec: VarSpec | None = None) -> OlsFit:
+    """Equation-by-equation OLS; Sigma uses the MLE denominator (rows of Y).
+    With ``spec``, Y must hold len(spec.order) columns and X the n*p +
+    intercept columns of ``build_regressors``, and the fit carries it."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim == 1:
@@ -219,28 +223,26 @@ def ols_estimate(y: np.ndarray, x: np.ndarray) -> OlsFit:
         x = x[:, None]
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"Y has {y.shape[0]} rows but X has {x.shape[0]}")
+    if spec is not None:
+        n = len(spec.order)
+        k = n * spec.lags + int(spec.intercept)
+        if (y.shape[1], x.shape[1]) != (n, k):
+            raise ValueError(
+                f"Y has {y.shape[1]} columns and X {x.shape[1]}, but {spec} "
+                f"needs {n} and {k}"
+            )
     _check_full_rank(x)
     b, *_ = np.linalg.lstsq(x, y, rcond=None)
     residuals = y - x @ b
     sigma = residuals.T @ residuals / y.shape[0]
-    return OlsFit(B=b, Sigma=sigma, residuals=residuals, X=x, Y=y)
+    return OlsFit(B=b, Sigma=sigma, residuals=residuals, X=x, Y=y, spec=spec)
 
 
-def _infer_layout(fit: OlsFit) -> tuple[int, int, bool]:
-    """Recover (n, p, intercept) from the fitted matrices."""
-    k = fit.X.shape[1]
-    n = fit.Y.shape[1]
-    first_is_ones = bool(np.all(fit.X[:, 0] == 1.0))
-    if (k - 1) % n == 0 and first_is_ones:
-        has_const = True
-    elif k % n == 0:
-        has_const = False
-    else:
-        raise ValueError(f"X with {k} columns is not a VAR layout for n={n}")
-    p = (k - int(has_const)) // n
-    if p < 1:
-        raise ValueError(f"X with {k} columns implies no lags for n={n}")
-    return n, p, has_const
+def _layout(fit: OlsFit) -> tuple[int, int, bool]:
+    """(n, p, intercept) of the fit's VarSpec."""
+    if fit.spec is None:
+        raise ValueError("the fit has no VarSpec; estimate it with ols_estimate(y, x, spec)")
+    return len(fit.spec.order), fit.spec.lags, fit.spec.intercept
 
 
 def _companion_from_blocks(coefs: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -273,9 +275,10 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def _ar_residual_scales(fit: OlsFit, n: int, p: int, has_const: bool) -> np.ndarray:
+def _ar_residual_scales(fit: OlsFit) -> np.ndarray:
     """Residual standard deviation of a univariate AR(p) per variable,
     the usual scaling for cross-variable shrinkage."""
+    n, p, has_const = _layout(fit)
     scales = np.empty(n)
     base = int(has_const)
     for j in range(n):
@@ -293,12 +296,12 @@ def _ar_residual_scales(fit: OlsFit, n: int, p: int, has_const: bool) -> np.ndar
 
 def _prior_moments(fit: OlsFit, prior: PriorSpec):
     """Prior mean, row precision, IW scale and degrees of freedom."""
-    n, p, has_const = _infer_layout(fit)
+    n, p, has_const = _layout(fit)
     k = fit.X.shape[1]
     b0 = np.zeros((k, n))
     if prior.kind == "flat":
         return b0, np.zeros((k, k)), np.zeros((n, n)), 0.0
-    scales = _ar_residual_scales(fit, n, p, has_const)
+    scales = _ar_residual_scales(fit)
     b0[int(has_const): int(has_const) + n, :] = np.eye(n)
     omega_diag = np.empty(k)
     if has_const:
@@ -445,7 +448,7 @@ def posterior_sample(
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    n, p, has_const = _infer_layout(fit)
+    n, p, has_const = _layout(fit)
     b_post, omega_post, s_post, nu_post = posterior_moments(fit, prior)
     if nu_post < n + 1:
         raise NumericalError(

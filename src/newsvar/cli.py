@@ -74,100 +74,207 @@ from .svgplot import line_band_svg
 from .synth import Dgp, simulate_var
 
 COMMANDS = ("estimate", "irf", "decompose", "lp", "index", "simulate")
+_VAR = ("estimate", "irf", "decompose")
+_PANEL = ("estimate", "decompose", "lp")
+
+
+def _number(value) -> bool:
+    """A finite int or float; a bool is not taken as a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _quarter(value) -> bool:
+    try:
+        parse_quarter(value)
+    except DataError:
+        return False
+    return isinstance(value, str)
+
+
+# The kinds of config value: each one's test and what its message says a
+# value must be.
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "positive": (lambda v: _number(v) and v > 0, "a finite number > 0"),
+    "nonzero": (lambda v: _number(v) and v != 0, "a finite non-zero number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "names": (_strings, "a list of strings"),
+    "mapping": (
+        lambda v: isinstance(v, dict) and _strings([*v, *v.values()]),
+        "a mapping of strings to strings",
+    ),
+    "quarter": (_quarter, "a quarter label like 1961Q1"),
+    "matrix": (
+        lambda v: isinstance(v, list)
+        and all(_number(x) or isinstance(x, list) and all(map(_number, x)) for x in v),
+        "a list of rows of finite numbers",
+    ),
+}
+
+
+def _key(kind, default=None, **rules):
+    """A config key of ``kind``, a ``_KINDS`` name or a block's dataclass
+    (a callable default is a factory), with its rules: ``reads``, the
+    commands that read it (a block's keys inherit the block's);
+    ``required``, the key must be given for those commands; ``least`` and
+    ``choices`` bound its values; ``header``, its names must survive as
+    unique panel CSV headers; ``ordered``, its names must be variables of
+    the ordering the command reads."""
+    rules["kind"] = kind
+    if callable(default):
+        return field(default_factory=default, metadata=rules)
+    return field(default=default, metadata=rules)
 
 
 @dataclass
 class PriorConfig:
-    kind: str = "minnesota"
-    tightness: float = 0.2
-    nu0: float | None = None
+    kind: str = _key("str", "minnesota", choices=("flat", "minnesota"))
+    tightness: float = _key("positive", 0.2)
+    nu0: float | None = _key("positive")
 
 
 @dataclass
 class RescaleConfig:
-    variable: str = ""
-    horizon: int = 10
-    value: float = 1.0
+    variable: str = _key("str", "", required=True, ordered=True)
+    horizon: int = _key("int", 10, least=0)
+    value: float = _key("nonzero", 1.0)
 
 
 @dataclass
 class DecomposeConfig:
-    reference: str = ""
-    target: str = ""
-    basis: str = "posterior-mean"
+    reference: str = _key("str", "", required=True, ordered=True)
+    target: str = _key("str", "", required=True, ordered=True)
+    basis: str = _key("str", "posterior-mean", choices=("posterior-mean", "ols"))
 
 
 @dataclass
 class LpConfig:
-    shock_file: str = ""
-    shock_column: str = ""
-    outcomes: list[str] = field(default_factory=list)
-    breakpoint: str | None = None
-    band_se: float = 1.0
+    shock_file: str = _key("path", "", required=True)
+    shock_column: str = _key("str", "", required=True)
+    outcomes: list[str] = _key("names", list, required=True, ordered=True)
+    breakpoint: str | None = _key("quarter")
+    band_se: float = _key("positive", 1.0)
 
 
 @dataclass
 class DgpConfig:
-    coefficients: list = field(default_factory=list)
-    impact: list = field(default_factory=list)
-    periods: int = 300
-    burn_in: int = 200
-    start: str = "1900Q1"
-    names: list[str] = field(default_factory=list)
+    coefficients: list = _key("matrix", list, required=True)
+    impact: list = _key("matrix", list, required=True)
+    periods: int = _key("int", 300, least=1)
+    burn_in: int = _key("int", 200, least=0)
+    start: str = _key("quarter", "1900Q1")
+    names: list[str] = _key("names", list, header=True)
 
 
 @dataclass
 class IndexConfig:
-    events: str = ""
-    sigma_v: float = 0.02
-    sigma_e: float = 0.02
-    start: str | None = None
-    end: str | None = None
+    events: str = _key("path", "", required=True)
+    sigma_v: float = _key("positive", 0.02)
+    sigma_e: float = _key("positive", 0.02)
+    start: str | None = _key("quarter")
+    end: str | None = _key("quarter")
 
 
 @dataclass
 class RunConfig:
     """Everything a run needs; defaults follow the benchmark setup (four
-    lags, intercept, 1000 draws, twenty-quarter horizon)."""
+    lags, intercept, 1000 draws, twenty-quarter horizon). The fields of
+    this class and of its blocks are the table of config keys."""
 
-    out: str = "out"
-    seed: int = 0
-    draws: int = 1000
-    horizon: int = 20
-    data: str | None = None
-    date_column: str = "date"
-    transforms: dict[str, str] = field(default_factory=dict)
-    sample_start: str | None = None
-    sample_end: str | None = None
-    variables: list[str] = field(default_factory=list)
-    lags: int = 4
-    intercept: bool = True
-    prior: PriorConfig = field(default_factory=PriorConfig)
-    irf_shock: str | None = None
-    rescale: RescaleConfig | None = None
-    decompose: DecomposeConfig | None = None
-    lp: LpConfig | None = None
-    dgp: DgpConfig | None = None
-    index: IndexConfig | None = None
+    out: str = _key("path", "out", reads=COMMANDS)
+    seed: int = _key("int", 0, least=0, reads=("estimate", "simulate"))
+    draws: int = _key("int", 1000, least=1, reads=("estimate",))
+    horizon: int = _key("int", 20, least=1, reads=("irf", "lp"))
+    data: str | None = _key("path", required=True, reads=_PANEL)
+    date_column: str = _key("str", "date", header=True, reads=(*_PANEL, "simulate"))
+    transforms: dict[str, str] = _key(
+        "mapping", dict, choices=("level", "log-level", "growth-rate"), reads=_PANEL
+    )
+    sample_start: str | None = _key("quarter", reads=_PANEL)
+    sample_end: str | None = _key("quarter", reads=_PANEL)
+    variables: list[str] = _key("names", list, header=True, reads=_VAR)
+    lags: int = _key("int", 4, least=1, reads=_VAR)
+    intercept: bool = _key("bool", True, reads=_VAR)
+    prior: PriorConfig = _key(PriorConfig, PriorConfig, reads=_VAR)
+    irf_shock: str | None = _key("str", ordered=True, reads=("irf",))
+    rescale: RescaleConfig | None = _key(RescaleConfig, reads=("irf",))
+    decompose: DecomposeConfig | None = _key(DecomposeConfig, required=True, reads=("decompose",))
+    lp: LpConfig | None = _key(LpConfig, required=True, reads=("lp",))
+    dgp: DgpConfig | None = _key(DgpConfig, required=True, reads=("simulate",))
+    index: IndexConfig | None = _key(IndexConfig, required=True, reads=("index",))
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _build(cls, mapping, where: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(mapping).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - known
+def _check(label: str, rules: dict, value) -> None:
+    """ConfigError unless ``value`` is of its key's kind and within its rules."""
+    kind = rules["kind"]
+    test, what = _KINDS[kind]
+    if not test(value):
+        # the float kinds spell their key "prior tightness", not "prior.tightness"
+        spelled = label.replace(".", " ") if kind in ("positive", "nonzero") else label
+        raise ConfigError(f"{spelled} must be {what}, got {value!r}")
+    least, choices = rules.get("least"), rules.get("choices")
+    if least is not None and value < least:
+        raise ConfigError(f"{label} must be >= {least}, got {value}")
+    for item in value.values() if kind == "mapping" else [value]:
+        if choices and item not in choices:
+            raise ConfigError(f"{label} must be one of {', '.join(choices)}, got {item!r}")
+    if rules.get("header"):
+        names = value if kind == "names" else [value]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{label} list contains duplicates: {value}")
+        for name in names:
+            if not header_round_trips(name):
+                raise ConfigError(
+                    f"{label} {name!r} has leading or trailing whitespace, which "
+                    f"panel CSV headers do not keep"
+                )
+
+
+def _build(cls, doc, block: str = ""):
+    """``cls`` from the mapping ``doc``, each key it gives checked; a null
+    value leaves a key whose default is None unset."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{block or 'config'} must be a mapping, got {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if "kind" in f.metadata}
+    unknown = set(doc) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    try:
-        return cls(**mapping)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {block or 'config'}")
+    values = {}
+    for name, value in doc.items():
+        label, kind = f"{block}.{name}" if block else name, fields[name].metadata["kind"]
+        if value is None and fields[name].default is None:
+            continue
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value, label)
+        else:
+            _check(label, fields[name].metadata, value)
+        values[name] = value
+    return cls(**values)
+
+
+def _walk(config, block: str = "", reads=COMMANDS):
+    """(label, rules, owner, name) of each key of ``config``; each given
+    block is followed by its keys, which the block's commands read."""
+    for f in dataclasses.fields(config):
+        if "kind" in f.metadata:
+            rules = {"reads": reads, **f.metadata}
+            yield f"{block}{f.name}", rules, config, f.name
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from _walk(value, f"{block}{f.name}.", rules["reads"])
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a YAML run configuration; relative paths resolve against the
-    config file's directory."""
+    """Parse a YAML run configuration and check every key it gives against
+    the key table; relative paths resolve against the config file's
+    directory."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -191,133 +298,56 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError("sample must be a mapping with keys start/end")
         doc["sample_start"] = sample.get("start")
         doc["sample_end"] = sample.get("end")
-    for key, cls in (
-        ("prior", PriorConfig),
-        ("rescale", RescaleConfig),
-        ("decompose", DecomposeConfig),
-        ("lp", LpConfig),
-        ("dgp", DgpConfig),
-        ("index", IndexConfig),
-    ):
-        if key in doc and doc[key] is not None:
-            doc[key] = _build(cls, doc[key], key)
+    doc.update((key, value) for key, value in (overrides or {}).items() if value is not None)
 
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            doc[key] = value
-
-    config = _build(RunConfig, doc, "config")
-    config.raw = _canonical(config)
-    _validate(config)
-
-    base = path.parent
-    if config.data:
-        config.data = str((base / config.data).resolve())
-    config.out = str((base / config.out).resolve())
-    if config.lp and config.lp.shock_file:
-        config.lp.shock_file = str((base / config.lp.shock_file).resolve())
-    if config.index and config.index.events:
-        config.index.events = str((base / config.index.events).resolve())
+    config = _build(RunConfig, doc)
+    config.raw = dataclasses.asdict(config)
+    del config.raw["raw"]
+    if config.rescale is not None and config.rescale.horizon > config.horizon:
+        raise ConfigError(
+            f"rescale horizon {config.rescale.horizon} outside the "
+            f"response horizon 0..{config.horizon}"
+        )
+    dec = config.decompose
+    if dec and dec.reference and dec.reference == dec.target:
+        raise ConfigError(f"decompose reference and target must differ, both are {dec.target!r}")
+    for _, rules, owner, name in _walk(config):
+        if rules["kind"] == "path" and getattr(owner, name):
+            setattr(owner, name, str((path.parent / getattr(owner, name)).resolve()))
     return config
 
 
-def _canonical(config: RunConfig) -> dict:
-    doc = dataclasses.asdict(config)
-    doc.pop("raw", None)
-    return doc
+def _require(config: RunConfig, command: str) -> None:
+    """ConfigError naming the first key ``command`` needs that the config
+    does not give."""
+    for label, rules, owner, name in _walk(config):
+        if rules.get("required") and command in rules["reads"] and not getattr(owner, name):
+            raise ConfigError(f"the {command} command needs '{label}' in the config")
 
 
-def _finite_number(value) -> bool:
-    """A finite int or float; a bool is not taken as a number."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+def _check_ordering(config: RunConfig, command: str, order: list[str]) -> None:
+    """ConfigError unless every variable name that ``command`` reads from
+    the config is in ``order`` (the VAR ordering, or the panel's for lp)
+    and a Minnesota nu0 is at least n+2 for its n variables."""
+    for label, rules, owner, name in _walk(config):
+        value = getattr(owner, name)
+        if rules.get("ordered") and command in rules["reads"] and value:
+            for item in [value] if isinstance(value, str) else value:
+                if item not in order:
+                    raise ConfigError(f"{label} {item!r} not in the variables {order}")
+    n, nu0 = len(order), config.prior.nu0
+    if command in _VAR and config.prior.kind == "minnesota" and nu0 is not None and nu0 < n + 2:
+        raise ConfigError(f"prior nu0 must be >= n+2 = {n + 2} for {n} variables, got {nu0}")
 
 
-def _validate(config: RunConfig) -> None:
-    integers = [
-        ("seed", config.seed, 0),
-        ("draws", config.draws, 1),
-        ("horizon", config.horizon, 1),
-        ("lags", config.lags, 1),
-    ]
-    if config.rescale is not None:
-        integers.append(("rescale.horizon", config.rescale.horizon, 0))
-    if config.dgp is not None:
-        integers += [
-            ("dgp.periods", config.dgp.periods, 1),
-            ("dgp.burn_in", config.dgp.burn_in, 0),
-        ]
-    for key, value, smallest in integers:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if value < smallest:
-            raise ConfigError(f"{key} must be >= {smallest}, got {value}")
-    positive = [("prior tightness", config.prior.tightness)]
-    if config.prior.nu0 is not None:
-        positive.append(("prior nu0", config.prior.nu0))
-    if config.index is not None:
-        positive += [
-            ("index sigma_v", config.index.sigma_v),
-            ("index sigma_e", config.index.sigma_e),
-        ]
-    if config.lp is not None:
-        positive.append(("lp band_se", config.lp.band_se))
-    for key, value in positive:
-        if not _finite_number(value) or value <= 0:
-            raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
-    if len(set(config.variables)) != len(config.variables):
-        raise ConfigError(f"variables list contains duplicates: {config.variables}")
-    named = [("variable", name) for name in config.variables]
-    named += [("dgp name", name) for name in (config.dgp.names if config.dgp else [])]
-    named.append(("date column", config.date_column))
-    for what, name in named:
-        if not header_round_trips(name):
-            raise ConfigError(
-                f"{what} {name!r} has leading or trailing whitespace, which "
-                f"panel CSV headers do not keep"
-            )
-    if config.prior.kind not in ("flat", "minnesota"):
-        raise ConfigError(f"prior kind must be flat or minnesota, got {config.prior.kind!r}")
-    for name, kind in config.transforms.items():
-        if kind not in ("level", "log-level", "growth-rate"):
-            raise ConfigError(f"unknown transform {kind!r} for variable {name!r}")
-    if config.decompose and config.decompose.basis not in ("posterior-mean", "ols"):
-        raise ConfigError("decompose basis must be posterior-mean or ols")
-    if config.rescale is not None:
-        if not config.rescale.variable:
-            raise ConfigError("rescale requires a target variable")
-        value = config.rescale.value
-        if not _finite_number(value) or value == 0:
-            raise ConfigError(f"rescale value must be a finite non-zero number, got {value!r}")
-        if config.rescale.horizon > config.horizon:
-            raise ConfigError(
-                f"rescale horizon {config.rescale.horizon} outside the "
-                f"response horizon 0..{config.horizon}"
-            )
-    dates = {
-        "sample start": config.sample_start,
-        "sample end": config.sample_end,
-        "lp breakpoint": config.lp.breakpoint if config.lp else None,
-        "index start": config.index.start if config.index else None,
-        "index end": config.index.end if config.index else None,
-        "dgp start": config.dgp.start if config.dgp else None,
-    }
-    for what, label in dates.items():
-        if label is not None:
-            try:
-                parse_quarter(label)
-            except DataError as exc:
-                raise ConfigError(f"bad {what}: {exc}") from exc
+def _digest(payload) -> str:
+    """SHA-256 of ``payload`` as sorted-key JSON, a dataclass as its fields."""
+    text = json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def config_hash(config: RunConfig) -> str:
-    payload = json.dumps(config.raw, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _hash_payload(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    return _digest(config.raw)
 
 
 def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
@@ -338,8 +368,6 @@ def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
 
 
 def _load_pipeline(config: RunConfig) -> TimeSeriesPanel:
-    if not config.data:
-        raise ConfigError("this command requires a 'data' path in the config")
     panel = load_panel(config.data, config.date_column)
     if config.transforms:
         panel = apply_transforms(panel, config.transforms)
@@ -350,66 +378,37 @@ def _load_pipeline(config: RunConfig) -> TimeSeriesPanel:
     return panel
 
 
-def _var_spec(config: RunConfig, panel: TimeSeriesPanel) -> VarSpec:
+def _prior_spec(config: RunConfig) -> PriorSpec:
+    return PriorSpec(**dataclasses.asdict(config.prior))
+
+
+def _fit(config: RunConfig, panel: TimeSeriesPanel, command: str) -> OlsFit:
+    """OLS of the config's VAR on ``panel``; the fit carries the VarSpec."""
     order = config.variables or list(panel.names)
     missing = [name for name in order if name not in panel.names]
     if missing:
         raise ConfigError(f"variables not in panel: {missing}")
-    return VarSpec(order=order, lags=config.lags, intercept=config.intercept)
-
-
-def _prior_spec(config: RunConfig) -> PriorSpec:
-    return PriorSpec(
-        kind=config.prior.kind,
-        tightness=config.prior.tightness,
-        nu0=config.prior.nu0,
-    )
-
-
-def _fit(config: RunConfig, panel: TimeSeriesPanel) -> tuple[VarSpec, OlsFit]:
-    spec = _var_spec(config, panel)
-    n, nu0 = len(spec.order), config.prior.nu0
-    if config.prior.kind == "minnesota" and nu0 is not None and nu0 < n + 2:
-        raise ConfigError(f"prior nu0 must be >= n+2 = {n + 2} for {n} variables, got {nu0}")
+    _check_ordering(config, command, order)
+    spec = VarSpec(order, config.lags, config.intercept)
     y, x = build_regressors(panel, spec)
-    return spec, ols_estimate(y, x)
-
-
-def _spec_key(spec: VarSpec) -> str:
-    return _hash_payload(
-        {"order": spec.order, "lags": spec.lags, "intercept": spec.intercept}
-    )
-
-
-def _prior_key(prior: PriorSpec) -> str:
-    return _hash_payload(
-        {"kind": prior.kind, "tightness": prior.tightness, "nu0": prior.nu0}
-    )
+    return ols_estimate(y, x, spec)
 
 
 def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
-    panel = _load_pipeline(config)
-    spec, fit = _fit(config, panel)
-    prior = _prior_spec(config)
-    draws = posterior_sample(fit, prior, config.draws, config.seed)
-    paths = {
-        "coefficients": out / "posterior_coefficients.npy",
-        "covariances": out / "posterior_covariances.npy",
-        "stable": out / "posterior_stable.npy",
-        "meta": out / "posterior.json",
-    }
-    np.save(paths["coefficients"], draws.B)
-    np.save(paths["covariances"], draws.Sigma)
-    np.save(paths["stable"], draws.stable)
+    fit = _fit(config, _load_pipeline(config), "estimate")
+    draws = posterior_sample(fit, _prior_spec(config), config.draws, config.seed)
+    arrays = {"coefficients": draws.B, "covariances": draws.Sigma, "stable": draws.stable}
+    paths = {name: out / f"posterior_{name}.npy" for name in arrays}
+    for name, array in arrays.items():
+        np.save(paths[name], array)
+    paths["meta"] = out / "posterior.json"
     write_json(
         {
-            "spec_hash": _spec_key(spec),
-            "prior_hash": _prior_key(prior),
+            **dataclasses.asdict(fit.spec),
+            "spec_hash": _digest(fit.spec),
+            "prior_hash": _digest(config.prior),
             "seed": config.seed,
             "n_draws": len(draws),
-            "order": spec.order,
-            "lags": spec.lags,
-            "intercept": spec.intercept,
             "share_stable": float(draws.stable.mean()),
         },
         paths["meta"],
@@ -425,18 +424,13 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
     disagree with ``posterior.json``."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
-        raise DataError(
-            f"no posterior artifact in {out}; run the estimate command first"
-        )
+        raise DataError(f"no posterior artifact in {out}; run the estimate command first")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    spec = VarSpec(
-        order=config.variables or list(meta["order"]),
-        lags=config.lags,
-        intercept=config.intercept,
-    )
+    spec = VarSpec(config.variables or list(meta["order"]), config.lags, config.intercept)
+    _check_ordering(config, "irf", spec.order)
     for what, key, stored in (
-        ("VAR spec (ordering, lags, intercept)", _spec_key(spec), meta["spec_hash"]),
-        ("prior", _prior_key(_prior_spec(config)), meta["prior_hash"]),
+        ("VAR spec (ordering, lags, intercept)", _digest(spec), meta["spec_hash"]),
+        ("prior", _digest(config.prior), meta["prior_hash"]),
     ):
         if key != stored:
             raise ConfigError(
@@ -475,32 +469,20 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
 def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
     spec, draws = _load_posterior(out, config)
     shock_name = config.irf_shock or spec.order[0]
-    if shock_name not in spec.order:
-        raise ConfigError(f"irf_shock {shock_name!r} not in the variable ordering")
     shock = spec.order.index(shock_name)
-    if config.rescale is not None and config.rescale.variable not in spec.order:
-        raise ConfigError(
-            f"rescale variable {config.rescale.variable!r} not in the ordering"
-        )
     irfs = irf_bands(draws, spec, config.horizon)
     if config.rescale is not None:
         irfs = rescale_irf(
-            irfs,
-            shock=shock,
-            target_variable=config.rescale.variable,
-            target_h=config.rescale.horizon,
-            target_value=config.rescale.value,
+            irfs, shock=shock, target_variable=config.rescale.variable,
+            target_h=config.rescale.horizon, target_value=config.rescale.value,
         )
     paths = {"csv": out / "irf.csv", "json": out / "irf.json"}
     irf_to_csv(irfs, paths["csv"])
     irf_to_json(irfs, paths["json"])
     for i, variable in enumerate(irfs.variables):
         svg = line_band_svg(
-            irfs.horizons,
-            irfs.median[:, i, shock],
-            irfs.lower[:, i, shock],
-            irfs.upper[:, i, shock],
-            title=f"{variable} response to {shock_name} shock",
+            irfs.horizons, irfs.median[:, i, shock], irfs.lower[:, i, shock],
+            irfs.upper[:, i, shock], title=f"{variable} response to {shock_name} shock",
             ylabel=variable,
         )
         svg_path = out / f"irf_{variable}.svg"
@@ -510,35 +492,23 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_decompose(config: RunConfig, out: Path) -> dict[str, Path]:
-    if config.decompose is None:
-        raise ConfigError("decompose command requires a 'decompose' config block")
     panel = _load_pipeline(config)
-    spec, fit = _fit(config, panel)
-    for name in (config.decompose.reference, config.decompose.target):
-        if name not in spec.order:
-            raise ConfigError(f"decompose variable {name!r} not in the VAR ordering")
-    if config.decompose.basis == "ols":
-        coeffs = fit.B
-    else:
-        coeffs = posterior_mean(fit, _prior_spec(config))
-    residuals = fit.Y - fit.X @ coeffs
-    ref = residuals[:, spec.order.index(config.decompose.reference)]
-    tar = residuals[:, spec.order.index(config.decompose.target)]
+    fit = _fit(config, panel, "decompose")
+    order = fit.spec.order
+    ols = config.decompose.basis == "ols"
+    residuals = fit.Y - fit.X @ (fit.B if ols else posterior_mean(fit, _prior_spec(config)))
+    ref = residuals[:, order.index(config.decompose.reference)]
+    tar = residuals[:, order.index(config.decompose.target)]
     dec = decompose_residuals(ref, tar)
-    dates = panel.dates[config.lags:]
+    dates = panel.dates[fit.spec.lags:]
     paths = {
         "decomposition": out / "decomposition.csv",
         "shocks": out / "shocks.csv",
         "summary": out / "decomposition.json",
     }
     decomposition_to_csv(
-        dec,
-        dates,
-        ref,
-        tar,
-        paths["decomposition"],
-        reference_name=config.decompose.reference,
-        target_name=config.decompose.target,
+        dec, dates, ref, tar, paths["decomposition"],
+        reference_name=config.decompose.reference, target_name=config.decompose.target,
     )
     common_std = standardize_shock(dec.common)
     idio_std = standardize_shock(dec.idiosyncratic)
@@ -547,31 +517,14 @@ def cmd_decompose(config: RunConfig, out: Path) -> dict[str, Path]:
         ["date", "common_std", "idiosyncratic_std"],
         zip(dates, common_std.tolist(), idio_std.tolist()),
     )
-    write_json(
-        {
-            "gamma": dec.gamma,
-            "r2": dec.r2,
-            "reference": config.decompose.reference,
-            "target": config.decompose.target,
-            "basis": config.decompose.basis,
-            "n_obs": int(ref.shape[0]),
-        },
-        paths["summary"],
-    )
+    summary = {"gamma": dec.gamma, "r2": dec.r2, "n_obs": int(ref.shape[0])}
+    write_json({**summary, **dataclasses.asdict(config.decompose)}, paths["summary"])
     return paths
 
 
 def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
-    if config.lp is None:
-        raise ConfigError("lp command requires an 'lp' config block")
-    if not config.lp.shock_file or not config.lp.shock_column:
-        raise ConfigError("lp config needs shock_file and shock_column")
-    if not config.lp.outcomes:
-        raise ConfigError("lp config needs a non-empty outcomes list")
     panel = _load_pipeline(config)
-    for name in config.lp.outcomes:
-        if name not in panel.names:
-            raise ConfigError(f"lp outcome {name!r} not in panel")
+    _check_ordering(config, "lp", panel.names)
     shocks = load_panel(config.lp.shock_file)
     # Both panels are gap-free, so their overlap is one quarterly range.
     first = max(parse_quarter(panel.dates[0]), parse_quarter(shocks.dates[0]))
@@ -602,15 +555,11 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
             shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
             title=title, ylabel=outcome,
         )
-        csv_path = out / f"lp_{outcome}.csv"
-        json_path = out / f"lp_{outcome}.json"
-        svg_path = out / f"lp_{outcome}.svg"
-        lp_to_csv(result, csv_path)
-        lp_to_json(result, json_path, band_se=config.lp.band_se)
-        svg_path.write_text(svg, encoding="utf-8")
-        paths[f"csv_{outcome}"] = csv_path
-        paths[f"json_{outcome}"] = json_path
-        paths[f"svg_{outcome}"] = svg_path
+        files = {kind: out / f"lp_{outcome}.{kind}" for kind in ("csv", "json", "svg")}
+        lp_to_csv(result, files["csv"])
+        lp_to_json(result, files["json"], band_se=config.lp.band_se)
+        files["svg"].write_text(svg, encoding="utf-8")
+        paths.update((f"{kind}_{outcome}", path) for kind, path in files.items())
     paths["sample"] = out / "lp_sample.json"
     sample = {"dates_used": panel.dates, "shock_column": config.lp.shock_column}
     write_json(sample, paths["sample"])
@@ -618,8 +567,6 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
-    if config.index is None or not config.index.events:
-        raise ConfigError("index command requires an 'index' config block with events")
     events = load_events(config.index.events)
     if not events:
         raise DataError(f"no events in {config.index.events}")
@@ -629,30 +576,19 @@ def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
     idx = build_index(valued, start, end)
     paths = {"index": out / "index.csv", "stats": out / "index_stats.json"}
     write_index(idx, paths["index"])
+    payload = dict.fromkeys(("level_correlation", "growth_correlation", "mean_ratio", "note"))
     try:
         stats = index_stats(idx)
-        payload = {
-            "level_correlation": stats.level_correlation,
-            "growth_correlation": stats.growth_correlation,
-            "mean_ratio": float(np.mean(stats.ratio)),
-            "note": None,
-        }
+        payload["level_correlation"] = stats.level_correlation
+        payload["growth_correlation"] = stats.growth_correlation
+        payload["mean_ratio"] = float(np.mean(stats.ratio))
     except (DataError, NumericalError) as exc:
-        payload = {
-            "level_correlation": None,
-            "growth_correlation": None,
-            "mean_ratio": None,
-            "note": str(exc),
-        }
+        payload["note"] = str(exc)
     write_json(payload, paths["stats"])
     return paths
 
 
 def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
-    if config.dgp is None:
-        raise ConfigError("simulate command requires a 'dgp' config block")
-    if not config.dgp.coefficients or not config.dgp.impact:
-        raise ConfigError("dgp config needs coefficients and impact matrices")
     try:
         dgp = Dgp(
             B=np.asarray(config.dgp.coefficients, dtype=float),
@@ -676,36 +612,27 @@ def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
         ["date", *(f"shock_{name}" for name in panel.names)],
         ([date, *row] for date, row in zip(panel.dates, eta.tolist())),
     )
-    write_json(
-        {
-            "spectral_radius": dgp.spectral_radius,
-            "n_vars": dgp.n_vars,
-            "lags": dgp.lags,
-            "burn_in": dgp.burn_in,
-            "periods": config.dgp.periods,
-            "seed": config.seed,
-        },
-        paths["dgp"],
-    )
+    facts = {"spectral_radius": dgp.spectral_radius, "n_vars": dgp.n_vars, "lags": dgp.lags}
+    facts.update(burn_in=dgp.burn_in, periods=config.dgp.periods, seed=config.seed)
+    write_json(facts, paths["dgp"])
     return paths
 
 
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "irf": cmd_irf,
-    "decompose": cmd_decompose,
-    "lp": cmd_lp,
-    "index": cmd_index,
-    "simulate": cmd_simulate,
-}
+_DISPATCH = dict(
+    zip(COMMANDS, (cmd_estimate, cmd_irf, cmd_decompose, cmd_lp, cmd_index, cmd_simulate))
+)
 
 
 def run(config: RunConfig, command: str) -> dict[str, Path]:
     """Execute one command; returns the artifact paths it wrote."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+    _require(config, command)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}") from exc
     paths = _DISPATCH[command](config, out)
     paths["manifest"] = _write_manifest(out, command, config)
     return paths
@@ -725,12 +652,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--draws", type=int, help="posterior draws (overrides config)")
         cmd.add_argument("--horizon", type=int, help="response horizon (overrides config)")
     args = parser.parse_args(argv)
-    overrides = {
-        "out": args.out,
-        "seed": args.seed,
-        "draws": args.draws,
-        "horizon": args.horizon,
-    }
+    overrides = {key: getattr(args, key) for key in ("out", "seed", "draws", "horizon")}
     try:
         config = load_config(args.config, overrides)
         paths = run(config, args.command)

@@ -309,8 +309,14 @@ def index_stats(idx: InnovationIndex) -> IndexStats:
 
 
 def _iso_day(cell: str) -> int | None:
+    """Days since 1970-01-01 of a YYYY-MM-DD cell, outer whitespace aside, else
+    None: the one spelling ``date.fromisoformat`` reads on every Python."""
+    day = cell.strip()
+    digits = day[:4] + day[5:7] + day[8:]
+    if len(day) != 10 or day[4] + day[7] != "--" or not (digits.isascii() and digits.isdigit()):
+        return None
     try:
-        return dt.date.fromisoformat(cell.strip()).toordinal() - _EPOCH
+        return dt.date.fromisoformat(day).toordinal() - _EPOCH
     except ValueError:
         return None
 

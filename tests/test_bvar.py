@@ -157,7 +157,7 @@ def small_var_fit(t=2000, seed=11):
     panel, _ = simulate_var(dgp, t)
     spec = dgp.var_spec
     y, x = build_regressors(panel, spec)
-    return ols_estimate(y, x), spec
+    return ols_estimate(y, x, spec), spec
 
 
 class TestPosteriorSample:
@@ -220,7 +220,7 @@ class TestPosteriorSample:
         spec = VarSpec(order=["y1", "y2"], lags=1, intercept=False)
         y, x = build_regressors(panel, spec)
         assert x.shape[1] == 2
-        fit = ols_estimate(y, x)
+        fit = ols_estimate(y, x, spec)
         draws = posterior_sample(fit, PriorSpec(kind="minnesota"), 10, seed=2)
         assert all(d.B.shape == (2, 2) for d in draws)
         comp = companion(draws[0].B, spec)
@@ -231,7 +231,7 @@ class TestPosteriorSample:
         t = 60
         x = np.column_stack([np.ones(t), rng.normal(size=t)])
         y = x @ np.array([[0.0], [1.05]]) + 0.02 * rng.normal(size=(t, 1))
-        fit = ols_estimate(y, x)
+        fit = ols_estimate(y, x, VarSpec(order=["y"], lags=1))
         draws = posterior_sample(fit, PriorSpec(kind="flat"), 200, seed=1)
         flags = [d.stable for d in draws]
         assert len(draws) == 200
@@ -283,7 +283,7 @@ def persistent_var3_fit(intercept=True, lags=1):
     )
     panel, _ = simulate_var(dgp, 80)
     spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
-    return ols_estimate(*build_regressors(panel, spec)), spec
+    return ols_estimate(*build_regressors(panel, spec), spec), spec
 
 
 class TestBatchedSamplerOracle:
@@ -359,8 +359,8 @@ class TestBatchedSamplerOracle:
         t = 50
         x = np.column_stack([np.ones(t), rng.normal(size=t)])
         y = x @ np.array([[0.1], [0.9]]) + 0.3 * rng.normal(size=(t, 1))
-        fit = ols_estimate(y, x)
         spec = VarSpec(order=["y"], lags=1)
+        fit = ols_estimate(y, x, spec)
         got = posterior_sample(fit, PriorSpec(kind="flat"), 40, seed=8)
         want = reference_posterior_sample(fit, PriorSpec(kind="flat"), spec, 40, seed=8)
         assert max_rel_gap(got.B, want.B) <= 1e-12
@@ -429,7 +429,7 @@ class TestMinnesotaPrior:
             dgp = Dgp(B=b_true, L=np.eye(n), seed=seed)
             panel, _ = simulate_var(dgp, t)
             y, x = build_regressors(panel, dgp.var_spec)
-            fit = ols_estimate(y, x)
+            fit = ols_estimate(y, x, dgp.var_spec)
             shrunk = posterior_mean(fit, PriorSpec(kind="minnesota", tightness=0.2))
             mse_ols.append(np.mean((fit.B - b_true) ** 2))
             mse_shrunk.append(np.mean((shrunk - b_true) ** 2))
@@ -461,6 +461,45 @@ def test_prior_validation():
         PriorSpec(tightness=-1.0)
     with pytest.raises(ValueError, match="symmetric"):
         PriorSpec(s0=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+class TestFitSpec:
+    @pytest.mark.parametrize("kind", ["flat", "minnesota"])
+    @pytest.mark.parametrize("draw", [False, True], ids=["posterior_mean", "posterior_sample"])
+    def test_spec_less_fit_refused(self, kind, draw):
+        fit, _ = small_var_fit(t=300)
+        bare = ols_estimate(fit.Y, fit.X)
+        assert bare.spec is None
+        with pytest.raises(ValueError, match="no VarSpec"):
+            if draw:
+                posterior_sample(bare, PriorSpec(kind=kind), 5, seed=0)
+            else:
+                posterior_mean(bare, PriorSpec(kind=kind))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            VarSpec(order=["y1"], lags=1),
+            VarSpec(order=["y1", "y2"], lags=2),
+            VarSpec(order=["y1", "y2"], lags=1, intercept=False),
+        ],
+        ids=["fewer-variables", "more-lags", "no-intercept"],
+    )
+    def test_spec_disagreeing_with_shapes_refused(self, spec):
+        fit, _ = small_var_fit(t=300)  # n=2, p=1 and an intercept: X has 3 columns
+        with pytest.raises(ValueError, match=r"Y has 2 columns and X 3, but .* needs"):
+            ols_estimate(fit.Y, fit.X, spec)
+
+    @pytest.mark.parametrize("kind", ["flat", "minnesota"])
+    def test_var1_without_intercept_on_a_lag_of_ones_samples(self, kind):
+        # before: the layout was guessed from X, an all-ones first column
+        # was taken for an intercept, and sampling raised "X with 1 columns
+        # implies no lags for n=1"
+        y = np.random.default_rng(3).normal(size=(40, 1))
+        fit = ols_estimate(y, np.ones((40, 1)), VarSpec(order=["y"], lags=1, intercept=False))
+        draws = posterior_sample(fit, PriorSpec(kind=kind), 20, seed=1)
+        assert draws.B.shape == (20, 1, 1)
+        assert np.isfinite(draws.B).all() and (draws.Sigma > 0).all()
 
 
 def eigvals_flags(coefs, n, p):
@@ -521,7 +560,7 @@ def stress_like_fit(seed=5, n=8, p=4, periods=224):
         if dgp.spectral_radius < 0.95:
             break
     panel, _ = simulate_var(dgp, periods)
-    return ols_estimate(*build_regressors(panel, dgp.var_spec))
+    return ols_estimate(*build_regressors(panel, dgp.var_spec), dgp.var_spec)
 
 
 class TestCertifiedStableFlags:

@@ -179,10 +179,10 @@ horizon: 4
     def test_round_trip_is_lossless(self, tmp_path):
         cfg = self.estimate(tmp_path)
         config = cli.load_config(cfg)
-        spec, fit = cli._fit(config, cli._load_pipeline(config))
+        fit = cli._fit(config, cli._load_pipeline(config), "estimate")
         expected = posterior_sample(fit, cli._prior_spec(config), config.draws, config.seed)
         loaded_spec, loaded = cli._load_posterior(Path(config.out), config)
-        assert loaded_spec == spec
+        assert loaded_spec == fit.spec
         for name in ("B", "Sigma", "stable"):
             got, want = getattr(loaded, name), getattr(expected, name)
             assert got.dtype == want.dtype
@@ -382,6 +382,24 @@ decompose: {{reference: ng, target: g, basis: {basis}}}
         cli.main(["decompose", "--config", cfg])
         panel = load_panel(tmp_path / "decout" / "shocks.csv")
         assert np.std(panel.column("common_std")) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("target: g", "target: ng", "decompose reference and target must differ"),
+            (" target: g,", "", "the decompose command needs 'decompose.target' in the config"),
+        ],
+        ids=["same-variable", "no-target"],
+    )
+    def test_bad_pair_is_config_error_before_work(self, tmp_path, capsys, old, new, message):
+        # before: the same variable twice exited 4 ("cannot standardize a
+        # constant series") and a missing target said "decompose variable ''
+        # not in the VAR ordering", both after the fit
+        cfg = Path(self.decompose_config(tmp_path))
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert cli.main(["decompose", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "decout").exists()
 
     def test_idiosyncratic_series_matches_cholesky_shock_end_to_end(self, tmp_path):
         # the idiosyncratic series written by the pipeline is the second

@@ -329,6 +329,16 @@ class TestEventsIo:
         with pytest.raises(DataError, match=r"^row 3: bad grant_date '1999-13-01'$"):
             load_events(path)
 
+    @pytest.mark.parametrize(
+        "day", ["19990501", "1999-W17-6", "1999W176", "1999-5-01", "１９９９-05-01"]
+    )
+    def test_only_yyyy_mm_dd_grant_dates(self, tmp_path, day):
+        # before: Python 3.11's date.fromisoformat read the basic and ISO
+        # week spellings, which 3.10 refuses
+        path = self.write_rows(tmp_path, self.GOOD, self.GOOD, f"{day},acme,1,0.02,1e9,")
+        with pytest.raises(DataError, match=rf"^row 4: bad grant_date '{day}'$"):
+            load_events(path)
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = self.write_rows(
             tmp_path, self.GOOD, self.GOOD, "1999-05-02,acme,0,abc,1e9,"

@@ -196,7 +196,7 @@ class TestIrfBands:
         )
         panel, _ = simulate_var(dgp, 120)
         spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
-        fit = ols_estimate(*build_regressors(panel, spec))
+        fit = ols_estimate(*build_regressors(panel, spec), spec)
         draws = posterior_sample(fit, PriorSpec(kind="minnesota"), 50, seed=3)
         horizon = 14
         irfs = irf_bands(draws, spec, horizon)

@@ -225,7 +225,7 @@ class TestEstimatorConsistency:
         )
         panel, _ = simulate_var(dgp, 10_000)
         y, x = build_regressors(panel, dgp.var_spec)
-        fit = ols_estimate(y, x)
+        fit = ols_estimate(y, x, dgp.var_spec)
         xtx_inv = np.linalg.inv(x.T @ x)
         se = np.sqrt(np.outer(np.diag(xtx_inv), np.diag(fit.Sigma)))
         assert np.all(np.abs(fit.B - dgp.B) < 4.0 * se)
@@ -238,7 +238,7 @@ class TestEstimatorConsistency:
             dgp = Dgp(B=b, L=dgp_l, seed=seed)
             panel, _ = simulate_var(dgp, t)
             y, x = build_regressors(panel, dgp.var_spec)
-            fit = ols_estimate(y, x)
+            fit = ols_estimate(y, x, dgp.var_spec)
             return np.abs(np.linalg.cholesky(fit.Sigma) - dgp_l).max()
 
         seeds = range(5)
