@@ -440,11 +440,12 @@ def posterior_sample(
 
     Three generators spawned from ``seed`` each fill one quantity for all
     draws, in draw order: the off-diagonal normals and the chi-square
-    diagonal of the Bartlett factor A, then the coefficient normals z. The
-    output is reproducible bit-for-bit per seed, prefix-stable in n_draws
-    and independent of chunking, but draw i cannot be generated alone.
-    With C = chol(S_bar), Sigma = (C A^-1)(C A^-1)' and
-    B = B_bar + chol(Omega_bar) z (C A^-1)', for all draws at once.
+    diagonal of the Bartlett factor A, then the coefficient normals z. With
+    C = chol(S_bar), Sigma = (C A^-1)(C A^-1)' and
+    B = B_bar + chol(Omega_bar) z (C A^-1)', each a batched product with
+    one small product per draw, so the output is reproducible bit-for-bit
+    per seed, prefix-stable in n_draws and independent of chunking and of
+    BLAS threads; but draw i cannot be generated alone.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -474,8 +475,6 @@ def posterior_sample(
     # (C A^-1)' = A'^-1 C' keeps its exact triangular zeros.
     chol_sigma_t = np.linalg.solve(bartlett.transpose(0, 2, 1), chol_scale.T)
     sigma = chol_sigma_t.transpose(0, 2, 1) @ chol_sigma_t
-    # chol(Omega_bar) z for all draws as one (k, k) x (k, D*n) product.
-    row_z = (chol_row @ z.transpose(1, 0, 2).reshape(k, -1)).reshape(k, n_draws, n)
-    b = b_post + row_z.transpose(1, 0, 2) @ chol_sigma_t
+    b = b_post + np.matmul(chol_row, z) @ chol_sigma_t
     stable = _stable_flags(b[:, int(has_const):, :], n, p)
     return PosteriorDraws(B=b, Sigma=sigma, stable=stable)

@@ -600,6 +600,9 @@ def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
         )
     except ValueError as exc:
         raise ConfigError(f"bad dgp block: {exc}") from exc
+    radius = dgp.spectral_radius
+    if radius >= 1.0:
+        raise ConfigError(f"bad dgp block: companion spectral radius {radius!r} is not below 1")
     panel, eta = simulate_var(dgp, config.dgp.periods)
     paths = {
         "panel": out / "panel.csv",
@@ -612,7 +615,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> dict[str, Path]:
         ["date", *(f"shock_{name}" for name in panel.names)],
         ([date, *row] for date, row in zip(panel.dates, eta.tolist())),
     )
-    facts = {"spectral_radius": dgp.spectral_radius, "n_vars": dgp.n_vars, "lags": dgp.lags}
+    facts = {"spectral_radius": radius, "n_vars": dgp.n_vars, "lags": dgp.lags}
     facts.update(burn_in=dgp.burn_in, periods=config.dgp.periods, seed=config.seed)
     write_json(facts, paths["dgp"])
     return paths

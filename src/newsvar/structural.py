@@ -20,8 +20,9 @@ from .errors import NumericalError
 from .panel import write_csv, write_json
 
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
-# Draws per block of the transposing copy in ``_percentile_bands``; copying
-# in blocks measured faster than one whole-array transpose.
+# Draws per block of the MA recursion in ``_ma_responses`` and of the
+# transposing copy in ``_percentile_bands``; a block is copied draws-last
+# while it is still in cache, which measured faster than whole-array passes.
 _BAND_TILE = 512
 
 
@@ -129,14 +130,16 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
         raise
 
 
-def _ma_responses(b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int) -> np.ndarray:
+def _ma_responses(
+    b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Structural MA coefficients of every draw by the recursion
-    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, written
-    into one (D, H+1, n, n) array.
-
-    Each step is one batched product of the lag blocks [A_m ... A_1]
-    (n x m*n) with the stacked [Theta_{h-m}; ...; Theta_{h-1}] (m*n x n),
-    which is a view of the output array.
+    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, as one
+    (D, H+1, n, n) array and as its draws-last copy (cells, D). A block of
+    ``_BAND_TILE`` draws runs h = 1..H, one batched product of the lag blocks
+    [A_m ... A_1] (n x m*n) with the stacked [Theta_{h-m}; ...; Theta_{h-1}]
+    (m*n x n) per step, and is copied draws-last while it is in cache; no
+    draw's values depend on the block.
     """
     d, n, p = b.shape[0], impact.shape[1], spec.lags
     expected = n * p + int(spec.intercept)
@@ -145,38 +148,34 @@ def _ma_responses(b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int
             f"B draws have shape {b.shape[1:]}; expected ({expected}, {n}) for "
             f"n={n}, p={p}, intercept={spec.intercept}"
         )
-    # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
-    blocks = b[:, int(spec.intercept):, :].reshape(d, p, n, n)
-    lagged = blocks[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n)
     out = np.empty((d, horizon + 1, n, n))
-    out[:, 0] = impact
-    for h in range(1, horizon + 1):
-        m = min(h, p)
-        np.matmul(
-            lagged[:, :, (p - m) * n:],
-            out[:, h - m: h].reshape(d, m * n, n),
-            out=out[:, h],
-        )
-    return out
-
-
-def _percentile_bands(responses: np.ndarray) -> np.ndarray:
-    """16/50/84 percentiles across draws (axis 0), equal to
-    ``np.percentile(responses, BAND_PERCENTILES, axis=0)``.
-
-    The draws are copied a tile at a time into a draws-last buffer, each
-    cell's row is sorted in place, and each band interpolates between two
-    order statistics with numpy's ``linear`` index rule and ``_lerp``
-    formula. A cell with a NaN draw gets NaN (NaN sorts last). At a tie
-    between -0.0 and 0.0 the sign of the zero returned may differ.
-    """
-    d = responses.shape[0]
-    flat = responses.reshape(d, -1)
-    by_cell = np.empty((flat.shape[1], d))
+    by_cell = np.empty((out[0].size, d))
     for start in range(0, d, _BAND_TILE):
-        by_cell[:, start:start + _BAND_TILE] = flat[start:start + _BAND_TILE].T
+        block = out[start:start + _BAND_TILE]
+        size = block.shape[0]
+        # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
+        lags = b[start:start + size, int(spec.intercept):, :].reshape(size, p, n, n)
+        lagged = lags[:, ::-1].transpose(0, 3, 1, 2).reshape(size, n, p * n)
+        block[:, 0] = impact[start:start + size]
+        for h in range(1, horizon + 1):
+            m = min(h, p)
+            stacked = block[:, h - m: h].reshape(size, m * n, n)
+            np.matmul(lagged[:, :, (p - m) * n:], stacked, out=block[:, h])
+        by_cell[:, start:start + size] = block.reshape(size, -1).T
+    return out, by_cell
+
+
+def _sorted_bands(by_cell: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
+    """Sort each row of the draws-last buffer ``by_cell`` in place and
+    return its 16/50/84 percentiles shaped (3, *cells), equal to
+    ``np.percentile`` along the draws: each band interpolates two order
+    statistics by numpy's ``linear`` index rule and ``_lerp`` formula. A
+    row with a NaN draw gets NaN (NaN sorts last). At a tie between -0.0
+    and 0.0 the sign of the zero returned may differ.
+    """
     by_cell.sort(axis=1)
-    bands = np.empty((len(BAND_PERCENTILES), flat.shape[1]))
+    d = by_cell.shape[1]
+    bands = np.empty((len(BAND_PERCENTILES), by_cell.shape[0]))
     for band, q in zip(bands, BAND_PERCENTILES):
         virtual = (d - 1) * (q / 100)
         below = math.floor(virtual)
@@ -195,7 +194,18 @@ def _percentile_bands(responses: np.ndarray) -> np.ndarray:
     has_nan = np.isnan(last)
     if has_nan.any():
         bands[:, has_nan] = last[has_nan]
-    return bands.reshape((len(BAND_PERCENTILES),) + responses.shape[1:])
+    return bands.reshape((-1,) + cells)
+
+
+def _percentile_bands(responses: np.ndarray) -> np.ndarray:
+    """``_sorted_bands`` across draws (axis 0), from a draws-last copy of
+    ``responses`` made a tile at a time."""
+    d = responses.shape[0]
+    flat = responses.reshape(d, -1)
+    by_cell = np.empty((flat.shape[1], d))
+    for start in range(0, d, _BAND_TILE):
+        by_cell[:, start:start + _BAND_TILE] = flat[start:start + _BAND_TILE].T
+    return _sorted_bands(by_cell, responses.shape[1:])
 
 
 def irf_bands(
@@ -203,17 +213,17 @@ def irf_bands(
 ) -> IrfSet:
     """Pointwise 16/50/84 percentile bands of the draw-wise responses.
 
-    A list of ``PosteriorDraw`` is stacked once; the responses of all draws
-    are then computed together (see ``_ma_responses``) and equal the
-    per-draw ``compute_irf`` up to rounding.
+    A list of ``PosteriorDraw`` is stacked once. The responses are computed
+    a block of draws at a time, and copied draws-last for the bands, by
+    ``_ma_responses``; they equal the per-draw ``compute_irf`` up to rounding.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if len(draws) < 2:
         raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
     draws = PosteriorDraws.stack(draws)
-    responses = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
-    lower, median, upper = _percentile_bands(responses)
+    responses, by_cell = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
+    lower, median, upper = _sorted_bands(by_cell, responses.shape[1:])
     return IrfSet(
         responses=responses,
         horizons=np.arange(horizon + 1),

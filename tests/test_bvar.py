@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -286,6 +292,18 @@ def persistent_var3_fit(intercept=True, lags=1):
     return ols_estimate(*build_regressors(panel, spec), spec), spec
 
 
+def diagonal_var_fit(n=4, lags=4):
+    """OLS fit of an n-variable VAR(lags) with intercept; the defaults are
+    the paper's layout."""
+    b = np.zeros((n * lags + 1, n))
+    b[0] = 0.1
+    b[1:n + 1] = 0.5 * np.eye(n)
+    b[n * lags - n + 1:] += 0.2 * np.eye(n)
+    dgp = Dgp(B=b, L=np.eye(n), seed=7)
+    panel, _ = simulate_var(dgp, 120)
+    return ols_estimate(*build_regressors(panel, dgp.var_spec), dgp.var_spec)
+
+
 class TestBatchedSamplerOracle:
     @pytest.mark.parametrize("kind", ["flat", "minnesota"])
     @pytest.mark.parametrize("intercept", [True, False])
@@ -322,6 +340,75 @@ class TestBatchedSamplerOracle:
         assert_array_equal(one.B, many.B[:1])
         assert_array_equal(one.Sigma, many.Sigma[:1])
         assert_array_equal(one.stable, many.stable[:1])
+
+    @pytest.mark.parametrize(
+        "fit,digests",
+        [
+            pytest.param(
+                lambda: persistent_var3_fit(intercept=True, lags=2)[0],
+                (
+                    "7ada937ccc21f9768c62dced436fb598d2b86b5aa5cd18c99240c6cfbbf6df1a",
+                    "f9203ac83a4867febe35db40cbce12f85fa30f4a915a11cca7fe4d2028c416db",
+                    "811577fbb886b6764fa8e947d2b40e8a18f9618a059b30dfd3be4b3edf834a64",
+                ),
+                id="n3-p2",
+            ),
+            pytest.param(
+                diagonal_var_fit,
+                (
+                    "d6971b5487bfd83b3be79e8009acc0c72d9bf26a1148c971955f4a0884bd2c54",
+                    "e3bf0981a3e59fb8ce855ba73f082c09ff596dee97057ba2f2be610021c6105a",
+                    "6fb399885220fd8dbd38e0ea4a1f3a48e8bb6b8450a7ea32c55d841c22047b39",
+                ),
+                id="n4-p4",
+            ),
+        ],
+    )
+    def test_bytes_are_pinned(self, fit, digests):
+        # Any reordering of the sampler's products that changes a rounding
+        # shows here. Recorded with numpy 2.4.6 and its bundled OpenBLAS on
+        # x86-64 with AVX-512. The n3-p2 digests are also those of the
+        # earlier (k, k) x (k, D*n) product for chol(Omega_bar) z; at n4-p4
+        # that product's bytes depended on the draw count. 700 draws span
+        # more than one 512-draw block of irf_bands.
+        draws = posterior_sample(fit(), PriorSpec(kind="minnesota"), 700, seed=2026)
+        got = tuple(
+            hashlib.sha256(getattr(draws, name).tobytes()).hexdigest()
+            for name in ("B", "Sigma", "stable")
+        )
+        assert got == digests
+
+    @pytest.mark.parametrize("n_draws", [1, 3, 513])
+    def test_prefix_stable_at_paper_layout(self, n_draws):
+        # before: draw 0's B moved by 5.6e-17 between 1 and 1000 draws
+        fit, prior = diagonal_var_fit(), PriorSpec(kind="minnesota")
+        few = posterior_sample(fit, prior, n_draws, seed=7)
+        many = posterior_sample(fit, prior, 1000, seed=7)
+        assert_array_equal(few.B, many.B[:n_draws])
+        assert_array_equal(few.Sigma, many.Sigma[:n_draws])
+        assert_array_equal(few.stable, many.stable[:n_draws])
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # before: B of n=6, p=4 with 513 draws differed between
+        # OPENBLAS_NUM_THREADS=1 and 2
+        code = (
+            "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_bvar import diagonal_var_fit; "
+            "from newsvar.bvar import PriorSpec, posterior_sample; "
+            "d = posterior_sample(diagonal_var_fit(6, 4), PriorSpec(), 513, seed=1); "
+            "print(hashlib.sha256(d.B.tobytes()).hexdigest())"
+        )
+        src = str(Path(bvar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code, str(Path(__file__).parent)],
+                capture_output=True, text=True, check=True,
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(digests) == 1
 
     def test_single_draw(self):
         fit, _ = persistent_var3_fit()

@@ -676,6 +676,28 @@ class TestConfigAndExitCodes:
         assert "leading or trailing whitespace" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize("periods", [300, 2000])
+    def test_simulate_refuses_explosive_dgp(self, tmp_path, periods):
+        # before: 300 periods exited 0 with values up to 6.7e86; 2000 printed
+        # numpy's overflow RuntimeWarning, then exited 3
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "out: work\n"
+            f"dgp: {{coefficients: [[0.0], [1.5]], impact: [[1.0]], periods: {periods}}}\n",
+        )
+        src = str(Path(newsvar.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "newsvar.cli", "simulate", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "config error: bad dgp block: companion spectral radius 1.5 is not below 1\n"
+        )
+        assert not (tmp_path / "work" / "panel.csv").exists()
+
     @pytest.mark.parametrize(
         "extra", ["irf_shock: zz\n", "rescale: {variable: zz, horizon: 2, value: 1.0}\n"]
     )

@@ -147,6 +147,21 @@ class TestComputeIrf:
             compute_irf(ar1_draw(), spec, -1)
 
 
+def whole_array_responses(draws, spec, horizon):
+    """MA responses of all draws by one batched product per horizon over the
+    whole (D, H+1, n, n) array: the recursion that irf_bands runs a block of
+    draws at a time, with the same products for each draw."""
+    d, n, p = len(draws), draws.B.shape[2], spec.lags
+    blocks = draws.B[:, int(spec.intercept):, :].reshape(d, p, n, n)
+    lagged = blocks[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n)
+    out = np.empty((d, horizon + 1, n, n))
+    out[:, 0] = np.linalg.cholesky(draws.Sigma)
+    for h in range(1, horizon + 1):
+        m = min(h, p)
+        np.matmul(lagged[:, :, (p - m) * n:], out[:, h - m: h].reshape(d, m * n, n), out=out[:, h])
+    return out
+
+
 class TestIrfBands:
     def test_identical_draws_collapse_bands(self):
         spec = VarSpec(order=["y"], lags=1, intercept=False)
@@ -187,8 +202,25 @@ class TestIrfBands:
         with pytest.raises(ValueError, match="at least 2"):
             irf_bands([ar1_draw()], spec, 2)
 
-    @pytest.mark.parametrize("lags,intercept", [(1, True), (3, False), (4, True)])
-    def test_batched_equals_per_draw_companion_powers(self, lags, intercept):
+    @pytest.mark.parametrize(
+        "lags,intercept,n_draws,horizon,nan_draw",
+        [
+            pytest.param(1, True, 50, 14, None, id="1-True"),
+            pytest.param(3, False, 50, 14, None, id="3-False"),
+            pytest.param(4, True, 50, 14, None, id="4-True"),
+            pytest.param(3, False, 2, 14, None, id="3-False-2-draws"),
+            pytest.param(4, True, 511, 14, None, id="4-True-511-draws"),
+            pytest.param(1, True, 512, 14, None, id="1-True-512-draws"),
+            pytest.param(3, False, 513, 14, 512, id="3-False-513-draws-nan"),
+            pytest.param(4, True, 1100, 14, 1050, id="4-True-1100-draws-nan"),
+            pytest.param(4, True, 1100, 2, 600, id="4-True-1100-draws-h2-nan"),
+        ],
+    )
+    def test_batched_equals_per_draw_companion_powers(
+        self, lags, intercept, n_draws, horizon, nan_draw
+    ):
+        # Draw counts on both sides of the 512-draw blocks of irf_bands; the
+        # last case's horizon is shorter than its lag order.
         dgp = Dgp(
             B=np.array([[0.1, 0.0, -0.1], [0.6, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, -0.1, 0.4]]),
             L=np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [0.2, -0.4, 0.6]]),
@@ -197,17 +229,25 @@ class TestIrfBands:
         panel, _ = simulate_var(dgp, 120)
         spec = VarSpec(order=["y1", "y2", "y3"], lags=lags, intercept=intercept)
         fit = ols_estimate(*build_regressors(panel, spec), spec)
-        draws = posterior_sample(fit, PriorSpec(kind="minnesota"), 50, seed=3)
-        horizon = 14
+        draws = posterior_sample(fit, PriorSpec(kind="minnesota"), n_draws, seed=3)
+        finite = np.ones(n_draws, dtype=bool)
+        if nan_draw is not None:
+            draws.B[nan_draw, int(intercept), 0] = np.nan
+            finite[nan_draw] = False
         irfs = irf_bands(draws, spec, horizon)
-        per_draw = np.stack([compute_irf(d, spec, horizon) for d in draws])
+        assert irfs.responses.flags.c_contiguous
+        assert irfs.responses.tobytes() == whole_array_responses(draws, spec, horizon).tobytes()
+        per_draw = np.stack([compute_irf(draws[i], spec, horizon) for i in np.flatnonzero(finite)])
         scale = np.abs(per_draw).max()
-        assert irfs.responses.shape == per_draw.shape
-        assert np.abs(irfs.responses - per_draw).max() <= 1e-12 * scale
-        bands = np.percentile(per_draw, (16.0, 50.0, 84.0), axis=0)
-        for got, want in zip((irfs.lower, irfs.median, irfs.upper), bands):
-            assert np.abs(got - want).max() <= 1e-12 * scale
-        own = np.percentile(irfs.responses, (16.0, 50.0, 84.0), axis=0)
+        assert irfs.responses[finite].shape == per_draw.shape
+        assert np.abs(irfs.responses[finite] - per_draw).max() <= 1e-12 * scale
+        if nan_draw is None:
+            bands = np.percentile(per_draw, BAND_PERCENTILES, axis=0)
+            for got, want in zip((irfs.lower, irfs.median, irfs.upper), bands):
+                assert np.abs(got - want).max() <= 1e-12 * scale
+        else:
+            assert np.isnan(irfs.median[1:]).any() and not np.isnan(irfs.median[0]).any()
+        own = np.percentile(irfs.responses, BAND_PERCENTILES, axis=0)
         assert_array_equal(np.stack([irfs.lower, irfs.median, irfs.upper]), own)
 
     def test_list_and_stacked_input_agree_exactly(self):
