@@ -231,6 +231,12 @@ def ols_estimate(y: np.ndarray, x: np.ndarray, spec: VarSpec | None = None) -> O
                 f"Y has {y.shape[1]} columns and X {x.shape[1]}, but {spec} "
                 f"needs {n} and {k}"
             )
+        # X holds the T-p usable periods, so too few rows is a short sample
+        if x.shape[0] < k:
+            raise DataError(
+                f"insufficient observations: T-p = {x.shape[0]} regression rows "
+                f"for {k} columns"
+            )
     _check_full_rank(x)
     b, *_ = np.linalg.lstsq(x, y, rcond=None)
     residuals = y - x @ b
@@ -413,8 +419,9 @@ def _certified_flags(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             undecided[live[decided]] = False
             if decided.all():
                 break
-            keep = ~decided
-            live, power, norm, err = live[keep], power[keep], norm[keep], err[keep]
+            if decided.any():
+                keep = ~decided
+                live, power, norm, err = live[keep], power[keep], norm[keep], err[keep]
     return flags, undecided
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -632,12 +633,23 @@ def run(config: RunConfig, command: str) -> dict[str, Path]:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     _require(config, command)
     out = Path(config.out)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory {out}: {exc}") from exc
-    paths = _DISPATCH[command](config, out)
-    paths["manifest"] = _write_manifest(out, command, config)
+    try:
+        paths = _DISPATCH[command](config, out)
+        paths["manifest"] = _write_manifest(out, command, config)
+    except BaseException:
+        # A failed command leaves behind no empty directory that it made.
+        # Deepest first; rmdir refuses a directory that holds anything.
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     return paths
 
 

@@ -13,15 +13,21 @@ rows of C^{j+1}, C the companion matrix and x the stacked last p values.
 The first sum is a product of all blocks against one block-Toeplitz matrix;
 the second carries the state across blocks with one small product each, so
 the Python work grows with the number of blocks, not of periods.
+
+The Toeplitz matrix and the carry rows depend only on the lag coefficients,
+so they are memoised per set of lag coefficients: Monte Carlo replications
+that change only the seed (or the intercept) skip building them and pay
+only for their shocks and the products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvar import VarSpec, companion, spectral_radius
+from .bvar import VarSpec, _companion_from_blocks, companion, spectral_radius
 from .panel import TimeSeriesPanel, parse_quarter, quarter_labels
 from .structural import irf_from_factors
 
@@ -98,20 +104,16 @@ def _block_periods(n: int, p: int) -> int:
     return max(p, min(_BLOCK_PERIODS, _TOEPLITZ_ROWS // n))
 
 
-def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
-    """Simulate y_t = c + sum_l A_l y_{t-l} + L eta_t with iid standard
-    normal eta, discarding the burn-in; returns the panel and the kept
-    structural shocks. Deterministic in the DGP seed."""
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
-    n, p = dgp.n_vars, dgp.lags
-    rng = np.random.default_rng(dgp.seed)
-    total = dgp.burn_in + periods
-    eta = rng.standard_normal((total, n))
+# Operator sets held for the most recent lag coefficients. One entry at n=8
+# holds the 2 MB Toeplitz matrix; a Monte Carlo study reuses a single entry.
+@functools.lru_cache(maxsize=4)
+def _operators(lags: bytes, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-Toeplitz matrix and carry rows of the lag rows B[1:], given as
+    their C-order float64 bytes; memoised, so the arrays are read-only."""
     block = _block_periods(n, p)
     width = block * n
     # tops[k] = top n rows of C^k: Psi_k = tops[k][:, :n], H_j = tops[j + 1]
-    comp = companion(dgp.B, dgp.var_spec)
+    comp = _companion_from_blocks(np.frombuffer(lags).reshape(n * p, n), n, p)
     tops = np.empty((block + 1, n, n * p))
     tops[0] = np.eye(n, n * p)
     for k in range(block):
@@ -125,6 +127,24 @@ def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
     # heads[(j, r), (l, s)] = H_j[r, (p-1-l)*n + s]: H_j's lag blocks in time
     # order, so the carried state is the previous block's last n*p values
     heads = tops[1:].reshape(width, p, n)[:, ::-1].reshape(width, n * p)
+    toeplitz.flags.writeable = False
+    heads.flags.writeable = False
+    return toeplitz, heads
+
+
+def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
+    """Simulate y_t = c + sum_l A_l y_{t-l} + L eta_t with iid standard
+    normal eta, discarding the burn-in; returns the panel and the kept
+    structural shocks. Deterministic in the DGP seed."""
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
+    n, p = dgp.n_vars, dgp.lags
+    rng = np.random.default_rng(dgp.seed)
+    total = dgp.burn_in + periods
+    eta = rng.standard_normal((total, n))
+    block = _block_periods(n, p)
+    width = block * n
+    toeplitz, heads = _operators(np.asarray(dgp.B[1:], dtype=float).tobytes(), n, p)
     n_blocks = -(-total // block)
     u = np.zeros((n_blocks, width))
     u.reshape(-1, n)[:total] = eta @ dgp.L.T + dgp.B[0]

@@ -63,6 +63,16 @@ class TestBuildRegressors:
         with pytest.raises(DataError, match="insufficient observations"):
             build_regressors(panel, VarSpec(order=["a", "b"], lags=4))
 
+    def test_fewer_rows_than_columns_under_a_spec_is_data_error(self):
+        # T=10 passes T > n*p+1, but X has 6 rows for 9 columns; without a
+        # spec X is any matrix, and a fat one stays a numerical error
+        spec = VarSpec(order=["a", "b"], lags=4)
+        y, x = build_regressors(two_var_panel(t=10), spec)
+        with pytest.raises(DataError, match="T-p = 6 regression rows for 9 columns"):
+            ols_estimate(y, x, spec)
+        with pytest.raises(NumericalError, match="rank-deficient X: 6 rows < 9 columns"):
+            ols_estimate(y, x)
+
     def test_unknown_name(self):
         panel = two_var_panel()
         with pytest.raises(DataError, match="not in panel"):
@@ -734,3 +744,98 @@ class TestCertifiedStableFlags:
         assert fell_back.mean() <= 0.01
         assert_array_equal(flags, draws.stable)
         assert_array_equal(flags, eigvals_flags(coefs, 8, 4))
+
+
+def compacting_certified_flags(comp):
+    """``_certified_flags`` as it was when it compacted the live draws after
+    every square, whether or not a draw was decided: the reference the
+    skipped copies must reproduce."""
+    size = comp.shape[-1]
+    gamma = bvar._gamma(size)
+    norm_slack = 1.0 + 2.0 * bvar._gamma(size * size + 1)
+    root = np.sqrt(size)
+
+    def frobenius_bound(a):
+        frobenius = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+        return bvar._ROUND_UP * norm_slack * frobenius + bvar._TINY
+
+    flags = np.zeros(comp.shape[0], dtype=bool)
+    undecided = np.ones(comp.shape[0], dtype=bool)
+    live = np.arange(comp.shape[0])
+    power = comp
+    norm = frobenius_bound(power)
+    err = np.zeros(comp.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(bvar._CERT_SQUARINGS):
+            power = power @ power
+            err = bvar._ROUND_UP * ((2.0 * norm + 3.0 * err) * err + gamma * norm * norm) + bvar._TINY
+            norm = frobenius_bound(power)
+            trace = np.trace(power, axis1=-2, axis2=-1)
+            stable = norm + err < 1.0 - bvar._CERT_MARGIN
+            explosive = (
+                np.abs(trace) - bvar._ROUND_UP * root * (err + gamma * norm)
+                > size * (1.0 + bvar._CERT_MARGIN)
+            )
+            decided = stable | explosive
+            flags[live[stable]] = True
+            undecided[live[decided]] = False
+            if decided.all():
+                break
+            keep = ~decided
+            live, power, norm, err = live[keep], power[keep], norm[keep], err[keep]
+    return flags, undecided
+
+
+def undecided_after(monkeypatch, comp, squarings):
+    """The undecided mask of ``_certified_flags`` stopped after ``squarings``
+    squares, that is at C^(2^squarings)."""
+    monkeypatch.setattr(bvar, "_CERT_SQUARINGS", squarings)
+    return bvar._certified_flags(comp)[1]
+
+
+class TestCertifiedFlagsCompaction:
+    @staticmethod
+    def stress_companions(draws=256):
+        posterior = posterior_sample(stress_like_fit(), PriorSpec(kind="minnesota"), draws, seed=2)
+        return bvar._companion_from_blocks(posterior.B[:, 1:, :], 8, 4)
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(12)
+        stress = cls.stress_companions()
+        size = stress.shape[-1]
+        small = 0.02 * rng.normal(size=(40, size, size))
+        explosive = np.stack([embed(np.diag(np.full(3, r)), size) for r in (1.6, -2.5, 40.0)])
+        nan = stress[:3].copy()
+        nan[:, 0, 0] = np.nan
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        edge = np.stack([(q * np.full(size, r)) @ q.T for r in (1.0 - 1e-9, 1.0 + 1e-9)])
+        return {
+            "decided_at_c2": small,
+            "decided_at_c16": stress,
+            "explosive": explosive,
+            "nan": nan,
+            "eigenvalue_fallback": edge,
+            "mixed": np.concatenate([stress[:50], small[:7], nan, explosive, edge, stress[50:90]]),
+        }
+
+    def test_cases_reach_the_intended_squares(self, monkeypatch):
+        cases = self.cases()
+        assert not undecided_after(monkeypatch, cases["decided_at_c2"], 1).any()
+        assert undecided_after(monkeypatch, cases["decided_at_c16"], 3).all()
+        assert not undecided_after(monkeypatch, cases["decided_at_c16"], 4).all()
+        monkeypatch.undo()
+        for name in ("nan", "eigenvalue_fallback"):
+            assert bvar._certified_flags(cases[name])[1].all(), name
+        assert not bvar._certified_flags(cases["explosive"])[1].any()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["decided_at_c2", "decided_at_c16", "explosive", "nan", "eigenvalue_fallback", "mixed"],
+    )
+    def test_matches_the_compacting_loop(self, case):
+        comp = self.cases()[case]
+        flags, undecided = bvar._certified_flags(comp)
+        want_flags, want_undecided = compacting_certified_flags(comp)
+        assert flags.tobytes() == want_flags.tobytes()
+        assert undecided.tobytes() == want_undecided.tobytes()

@@ -739,6 +739,50 @@ class TestConfigAndExitCodes:
             "out: x\ndata: panel.csv\nlags: 1\nprior: {kind: flat}\ndraws: 5\n",
         )
         assert cli.main(["estimate", "--config", cfg]) == 4
+        assert not (tmp_path / "x").exists()
+
+    def short_panel_config(self, tmp_path, lags):
+        """A 6-quarter panel of two variables at ``lags``."""
+        rng = np.random.default_rng(5)
+        with open(tmp_path / "panel.csv", "w", encoding="utf-8") as fh:
+            fh.write("date,a,b\n")
+            for i, (a, b) in enumerate(rng.normal(size=(6, 2)).tolist()):
+                fh.write(f"{1950 + i // 4}Q{i % 4 + 1},{a!r},{b!r}\n")
+        return write_yaml(
+            tmp_path / "c.yaml",
+            f"out: x\ndata: panel.csv\nlags: {lags}\ndraws: 5\n"
+            "decompose: {reference: a, target: b}\n",
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose"])
+    @pytest.mark.parametrize(
+        "lags, message",
+        [
+            # before: exit 4, "numerical error: rank-deficient X: 4 rows < 5 columns"
+            (2, "insufficient observations: T-p = 4 regression rows for 5 columns"),
+            (6, "insufficient observations: T=6 needs T > n*p+1 = 13"),
+        ],
+        ids=["lags2", "lags6"],
+    )
+    def test_short_sample_is_data_error(self, tmp_path, capsys, command, lags, message):
+        cfg = self.short_panel_config(tmp_path, lags)
+        assert cli.main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_failed_command_removes_the_directories_it_made(self, tmp_path, capsys):
+        # before: "data: nope.csv" exited 3 and left out behind, empty
+        cfg = write_yaml(tmp_path / "c.yaml", "out: made/deeper/x\ndata: nope.csv\nlags: 1\n")
+        assert cli.main(["estimate", "--config", cfg]) == 3
+        assert "nope.csv" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
+    def test_failed_command_keeps_directories_that_existed(self, tmp_path):
+        (tmp_path / "kept" / "x").mkdir(parents=True)
+        cfg = write_yaml(tmp_path / "c.yaml", "out: kept/x/new\ndata: nope.csv\nlags: 1\n")
+        assert cli.main(["estimate", "--config", cfg]) == 3
+        assert (tmp_path / "kept" / "x").is_dir()
+        assert not (tmp_path / "kept" / "x" / "new").exists()
 
     def three_variable_config(self, tmp_path, extra):
         TestPosteriorArtifact().write_panel(tmp_path)

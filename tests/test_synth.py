@@ -6,7 +6,7 @@ from newsvar.bvar import PosteriorDraw, build_regressors, ols_estimate
 from newsvar.errors import DataError
 from newsvar.panel import format_quarter, parse_quarter
 from newsvar.structural import compute_irf
-from newsvar.synth import Dgp, _block_periods, simulate_var, true_irf
+from newsvar.synth import Dgp, _block_periods, _operators, simulate_var, true_irf
 
 
 def pure_noise_dgp(n=2, seed=0):
@@ -151,9 +151,66 @@ class TestBlockedSimulatorOracle:
 
     def test_explosive_dgp_overflow_is_data_error(self):
         dgp = Dgp(B=np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 0.5]]), L=np.eye(2), burn_in=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DataError, match="non-finite value"):
-                simulate_var(dgp, 1000)
+        _operators.cache_clear()
+        for _ in ("cold", "warm"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DataError, match="non-finite value"):
+                    simulate_var(dgp, 1000)
+        assert _operators.cache_info().hits == 1
+
+
+def simulated_bytes(dgp, periods):
+    panel, eta = simulate_var(dgp, periods)
+    return panel.values.tobytes(), eta.tobytes(), tuple(panel.dates)
+
+
+class TestOperatorCache:
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_warm_call_equals_cold_call(self, n, p):
+        for case, (burn_in, periods) in enumerate(block_totals(n, p)):
+            dgp = stable_dgp(n, p, seed=100 * n + 10 * p + case, burn_in=burn_in)
+            _operators.cache_clear()
+            cold = simulated_bytes(dgp, periods)
+            warm = simulated_bytes(dgp, periods)
+            assert _operators.cache_info().hits == 1
+            assert warm == cold
+
+    def test_alternating_dgps_equal_their_cold_runs(self):
+        a = stable_dgp(3, 2, seed=1, burn_in=20)
+        b = stable_dgp(3, 2, seed=2, burn_in=20)
+        cold = {}
+        for name, dgp in (("a", a), ("b", b)):
+            _operators.cache_clear()
+            cold[name] = simulated_bytes(dgp, 300)
+        _operators.cache_clear()
+        for name, dgp in (("a", a), ("b", b), ("a", a), ("b", b)):
+            assert simulated_bytes(dgp, 300) == cold[name]
+        assert _operators.cache_info().hits == 2
+        for name, dgp in (("a", a), ("b", b)):
+            want = loop_simulate(dgp, 300)[0]
+            got = np.frombuffer(cold[name][0]).reshape(want.shape)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_intercept_is_not_part_of_the_key(self):
+        dgp = stable_dgp(2, 3, seed=7, burn_in=11)
+        _operators.cache_clear()
+        for intercept in ([0.0, 0.0], [5.0, -2.0], [-0.3, 1e3]):
+            shifted = Dgp(B=np.vstack([intercept, dgp.B[1:]]), L=dgp.L, burn_in=11, seed=3)
+            want, eta_want, _ = loop_simulate(shifted, 200)
+            panel, eta = simulate_var(shifted, 200)
+            assert np.abs(panel.values - want).max() <= 1e-12 * np.abs(want).max()
+            assert_array_equal(eta, eta_want)
+        info = _operators.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_cached_operators_refuse_writes(self):
+        dgp = stable_dgp(2, 2, seed=4, burn_in=0)
+        simulate_var(dgp, 10)
+        for operator in _operators(dgp.B[1:].tobytes(), 2, 2):
+            assert not operator.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                operator[0, 0] = 1.0
 
 
 class TestDgpValidation:
