@@ -1,9 +1,11 @@
 """Reduced-form VAR estimation and conjugate Normal-Inverse-Wishart sampling.
 
 The VAR is y_t = c + A_1 y_{t-1} + ... + A_p y_{t-p} + e_t. Coefficients are
-stored as a (n*p + 1) x n matrix B with the intercept row first and lag
-blocks stacked below, one block per lag in variable order, so that
-Y = X B + residuals with X rows [1, y_{t-1}, ..., y_{t-p}].
+stored as a k x n matrix B, k = n*p + 1 with an intercept and n*p without:
+the intercept row first, if any, then the lag blocks A_1', ..., A_p' of n
+rows each, in variable order, so that Y = X B + residuals with X rows
+[1, y_{t-1}, ..., y_{t-p}]. ``VarSpec.k`` is that row count and
+``VarSpec.lag_rows`` the one view of the lag blocks every later step reads.
 
 Posterior sampling is exact conjugate (no Gibbs chain): Sigma is drawn from
 the inverse-Wishart posterior by the Bartlett decomposition and B from the
@@ -63,6 +65,22 @@ class VarSpec:
             raise ValueError(f"lags must be >= 1, got {self.lags}")
         if len(set(self.order)) != len(self.order):
             raise ValueError("variable order contains duplicates")
+
+    @property
+    def k(self) -> int:
+        """Rows of B: the intercept row, if any, and p lag blocks of n rows."""
+        return len(self.order) * self.lags + int(self.intercept)
+
+    def lag_rows(self, b: np.ndarray) -> np.ndarray:
+        """The lag blocks A_1', ..., A_p' of coefficients ``b`` (..., k, n)
+        as a view (..., n*p, n), over any leading draw axes."""
+        n = len(self.order)
+        if b.shape[-2:] != (self.k, n):
+            raise ValueError(
+                f"B has shape {b.shape}; expected (..., {self.k}, {n}) for n={n}, "
+                f"p={self.lags}, intercept={self.intercept}"
+            )
+        return b[..., int(self.intercept):, :]
 
 
 @dataclass
@@ -225,30 +243,22 @@ def ols_estimate(y: np.ndarray, x: np.ndarray, spec: VarSpec | None = None) -> O
         raise ValueError(f"Y has {y.shape[0]} rows but X has {x.shape[0]}")
     if spec is not None:
         n = len(spec.order)
-        k = n * spec.lags + int(spec.intercept)
-        if (y.shape[1], x.shape[1]) != (n, k):
+        if (y.shape[1], x.shape[1]) != (n, spec.k):
             raise ValueError(
                 f"Y has {y.shape[1]} columns and X {x.shape[1]}, but {spec} "
-                f"needs {n} and {k}"
+                f"needs {n} and {spec.k}"
             )
         # X holds the T-p usable periods, so too few rows is a short sample
-        if x.shape[0] < k:
+        if x.shape[0] < spec.k:
             raise DataError(
                 f"insufficient observations: T-p = {x.shape[0]} regression rows "
-                f"for {k} columns"
+                f"for {spec.k} columns"
             )
     _check_full_rank(x)
     b, *_ = np.linalg.lstsq(x, y, rcond=None)
     residuals = y - x @ b
     sigma = residuals.T @ residuals / y.shape[0]
     return OlsFit(B=b, Sigma=sigma, residuals=residuals, X=x, Y=y, spec=spec)
-
-
-def _layout(fit: OlsFit) -> tuple[int, int, bool]:
-    """(n, p, intercept) of the fit's VarSpec."""
-    if fit.spec is None:
-        raise ValueError("the fit has no VarSpec; estimate it with ols_estimate(y, x, spec)")
-    return len(fit.spec.order), fit.spec.lags, fit.spec.intercept
 
 
 def _companion_from_blocks(coefs: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -266,15 +276,7 @@ def companion(b: np.ndarray, spec: VarSpec) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
-    n = b.shape[1]
-    expected = n * spec.lags + int(spec.intercept)
-    if b.shape[0] != expected:
-        raise ValueError(
-            f"B has {b.shape[0]} rows; expected {expected} for n={n}, "
-            f"p={spec.lags}, intercept={spec.intercept}"
-        )
-    coefs = b[1:] if spec.intercept else b
-    return _companion_from_blocks(coefs, n, spec.lags)
+    return _companion_from_blocks(spec.lag_rows(b), len(spec.order), spec.lags)
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -282,16 +284,14 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def _ar_residual_scales(fit: OlsFit) -> np.ndarray:
-    """Residual standard deviation of a univariate AR(p) per variable,
-    the usual scaling for cross-variable shrinkage."""
-    n, p, has_const = _layout(fit)
+    """Residual standard deviation of a univariate AR(p) per variable, on
+    X's intercept column, if any, and the variable's own lags: the usual
+    scaling for cross-variable shrinkage."""
+    n, k = len(fit.spec.order), fit.spec.k
+    first_lag = k - n * fit.spec.lags  # X's columns follow B's rows
     scales = np.empty(n)
-    base = int(has_const)
     for j in range(n):
-        cols = [base + lag * n + j for lag in range(p)]
-        xj = fit.X[:, cols]
-        if has_const:
-            xj = np.concatenate([np.ones((xj.shape[0], 1)), xj], axis=1)
+        xj = fit.X[:, [*range(first_lag), *range(first_lag + j, k, n)]]
         bj, *_ = np.linalg.lstsq(xj, fit.Y[:, j], rcond=None)
         resid = fit.Y[:, j] - xj @ bj
         scales[j] = np.sqrt(resid @ resid / resid.shape[0])
@@ -302,21 +302,20 @@ def _ar_residual_scales(fit: OlsFit) -> np.ndarray:
 
 def _prior_moments(fit: OlsFit, prior: PriorSpec):
     """Prior mean, row precision, IW scale and degrees of freedom."""
-    n, p, has_const = _layout(fit)
-    k = fit.X.shape[1]
+    spec = fit.spec
+    n, p, k = len(spec.order), spec.lags, spec.k
     b0 = np.zeros((k, n))
     if prior.kind == "flat":
         return b0, np.zeros((k, k)), np.zeros((n, n)), 0.0
     scales = _ar_residual_scales(fit)
-    b0[int(has_const): int(has_const) + n, :] = np.eye(n)
-    omega_diag = np.empty(k)
-    if has_const:
-        omega_diag[0] = 1e6
-    for lag in range(1, p + 1):
+    spec.lag_rows(b0)[:n] = np.eye(n)
+    # Prior variance of each row of B, repeated across its n columns; the
+    # intercept row, if any, keeps the loose 1e6.
+    omega = np.full((k, n), 1e6)
+    for lag, block in enumerate(spec.lag_rows(omega).reshape(p, n, n), start=1):
         for j in range(n):
-            pos = int(has_const) + (lag - 1) * n + j
-            omega_diag[pos] = (prior.tightness / lag) ** 2 / scales[j] ** 2
-    precision = np.diag(1.0 / omega_diag)
+            block[j] = (prior.tightness / lag) ** 2 / scales[j] ** 2
+    precision = np.diag(1.0 / omega[:, 0])
     nu0 = float(prior.nu0) if prior.nu0 is not None else n + 2.0
     if nu0 < n + 2:
         raise ValueError(f"nu0 must be >= n+2 = {n + 2}")
@@ -332,6 +331,8 @@ def _prior_moments(fit: OlsFit, prior: PriorSpec):
 def posterior_moments(fit: OlsFit, prior: PriorSpec):
     """Conjugate NIW update: returns (B_bar, Omega_bar, S_bar, nu_bar) where
     B | Sigma ~ MN(B_bar, Omega_bar, Sigma) and Sigma ~ IW(S_bar, nu_bar)."""
+    if fit.spec is None:
+        raise ValueError("the fit has no VarSpec; estimate it with ols_estimate(y, x, spec)")
     b0, precision0, s0, nu0 = _prior_moments(fit, prior)
     x, y = fit.X, fit.Y
     precision_post = precision0 + x.T @ x
@@ -456,8 +457,8 @@ def posterior_sample(
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    n, p, has_const = _layout(fit)
     b_post, omega_post, s_post, nu_post = posterior_moments(fit, prior)
+    spec, n = fit.spec, len(fit.spec.order)
     if nu_post < n + 1:
         raise NumericalError(
             f"posterior degrees of freedom {nu_post} too small for n={n}"
@@ -469,7 +470,6 @@ def posterior_sample(
         )
     chol_row = np.linalg.cholesky(omega_post)
     chol_scale = np.linalg.cholesky(s_post)
-    k = b_post.shape[0]
     rows, cols = np.tril_indices(n, k=-1)
     diag = np.arange(n)
     streams = np.random.SeedSequence(seed).spawn(3)
@@ -477,11 +477,11 @@ def posterior_sample(
     bartlett = np.zeros((n_draws, n, n))
     bartlett[:, rows, cols] = offdiag_rng.standard_normal((n_draws, rows.size))
     bartlett[:, diag, diag] = np.sqrt(chi2_rng.chisquare((nu_post - n + 1) + diag, (n_draws, n)))
-    z = z_rng.standard_normal((n_draws, k, n))
+    z = z_rng.standard_normal((n_draws, spec.k, n))
     # A' is upper triangular, so the solve is a pure back substitution and
     # (C A^-1)' = A'^-1 C' keeps its exact triangular zeros.
     chol_sigma_t = np.linalg.solve(bartlett.transpose(0, 2, 1), chol_scale.T)
     sigma = chol_sigma_t.transpose(0, 2, 1) @ chol_sigma_t
     b = b_post + np.matmul(chol_row, z) @ chol_sigma_t
-    stable = _stable_flags(b[:, int(has_const):, :], n, p)
+    stable = _stable_flags(spec.lag_rows(b), n, spec.lags)
     return PosteriorDraws(B=b, Sigma=sigma, stable=stable)

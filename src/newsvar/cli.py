@@ -395,13 +395,27 @@ def _fit(config: RunConfig, panel: TimeSeriesPanel, command: str) -> OlsFit:
     return ols_estimate(y, x, spec)
 
 
+def _posterior_paths(out: Path) -> dict[str, Path]:
+    """The files of the posterior arrays in ``out``, in the field order of
+    ``PosteriorDraws`` (B, Sigma, stable)."""
+    names = ("coefficients", "covariances", "stable")
+    return {name: out / f"posterior_{name}.npy" for name in names}
+
+
+def _check_file_names(names, error: type[Exception], what: str) -> None:
+    """``error`` for the first of ``names`` that cannot be part of a file
+    name: one holding a '/' or a NUL."""
+    for name in names:
+        if "/" in name or "\0" in name:
+            raise error(f"{what} {name!r} holds a '/' or NUL, so it cannot name an artifact file")
+
+
 def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
     fit = _fit(config, _load_pipeline(config), "estimate")
     draws = posterior_sample(fit, _prior_spec(config), config.draws, config.seed)
-    arrays = {"coefficients": draws.B, "covariances": draws.Sigma, "stable": draws.stable}
-    paths = {name: out / f"posterior_{name}.npy" for name in arrays}
-    for name, array in arrays.items():
-        np.save(paths[name], array)
+    paths = _posterior_paths(out)
+    for path, array in zip(paths.values(), (draws.B, draws.Sigma, draws.stable)):
+        np.save(path, array)
     paths["meta"] = out / "posterior.json"
     write_json(
         {
@@ -444,15 +458,10 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
             f"least 2, so re-run estimate with --draws 2 or more"
         )
     try:
-        draws = PosteriorDraws(
-            B=np.load(out / "posterior_coefficients.npy"),
-            Sigma=np.load(out / "posterior_covariances.npy"),
-            stable=np.load(out / "posterior_stable.npy"),
-        )
+        draws = PosteriorDraws(*map(np.load, _posterior_paths(out).values()))
     except (OSError, ValueError) as exc:
         raise DataError(f"unreadable posterior arrays in {out}: {exc}") from None
-    n = len(spec.order)
-    expected = (meta["n_draws"], n * spec.lags + int(spec.intercept), n)
+    expected = (meta["n_draws"], spec.k, len(spec.order))
     if draws.B.shape != expected:
         raise DataError(
             f"posterior coefficients in {out} have shape {draws.B.shape} but "
@@ -469,6 +478,10 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
 
 def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
     spec, draws = _load_posterior(out, config)
+    if config.variables:
+        _check_file_names(spec.order, ConfigError, "variables")
+    else:
+        _check_file_names(spec.order, DataError, "the panel's variable")
     shock_name = config.irf_shock or spec.order[0]
     shock = spec.order.index(shock_name)
     irfs = irf_bands(draws, spec, config.horizon)
@@ -524,6 +537,7 @@ def cmd_decompose(config: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
+    _check_file_names(config.lp.outcomes, ConfigError, "lp.outcomes")
     panel = _load_pipeline(config)
     _check_ordering(config, "lp", panel.names)
     shocks = load_panel(config.lp.shock_file)

@@ -141,20 +141,15 @@ def _ma_responses(
     (m*n x n) per step, and is copied draws-last while it is in cache; no
     draw's values depend on the block.
     """
+    lag_rows = spec.lag_rows(b)
     d, n, p = b.shape[0], impact.shape[1], spec.lags
-    expected = n * p + int(spec.intercept)
-    if b.shape[1:] != (expected, n):
-        raise ValueError(
-            f"B draws have shape {b.shape[1:]}; expected ({expected}, {n}) for "
-            f"n={n}, p={p}, intercept={spec.intercept}"
-        )
     out = np.empty((d, horizon + 1, n, n))
     by_cell = np.empty((out[0].size, d))
     for start in range(0, d, _BAND_TILE):
         block = out[start:start + _BAND_TILE]
         size = block.shape[0]
         # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
-        lags = b[start:start + size, int(spec.intercept):, :].reshape(size, p, n, n)
+        lags = lag_rows[start:start + size].reshape(size, p, n, n)
         lagged = lags[:, ::-1].transpose(0, 3, 1, 2).reshape(size, n, p * n)
         block[:, 0] = impact[start:start + size]
         for h in range(1, horizon + 1):

@@ -2,7 +2,8 @@
 
 One figure = one response path with a shaded coverage band and a dashed
 zero line. Hand-built paths keep the artifact free of plotting dependencies
-and byte-deterministic for identical inputs.
+and byte-deterministic for identical inputs. Title and axis label are
+escaped, so any variable name yields well-formed XML.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def line_band_svg(
         raise ValueError("horizons, center, lower, upper must share a shape")
     if h.size < 2:
         raise ValueError("need at least two horizons to plot")
+    # Imported here: the entity tables of ``html`` add about 0.5 MB to every
+    # process that imports newsvar, and most never draw a figure.
+    from html import escape
 
     y_min = min(float(lo.min()), 0.0)
     y_max = max(float(up.max()), 0.0)
@@ -114,13 +118,14 @@ def line_band_svg(
     if title:
         out.append(
             f'<text x="{_fmt(_WIDTH / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
+            f'font-family="sans-serif">{escape(title, quote=False)}</text>'
         )
     if ylabel:
         out.append(
             f'<text x="14" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-size="11" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'transform="rotate(-90 14 {_fmt(_MARGIN_TOP + plot_h / 2)})">{ylabel}</text>'
+            f'transform="rotate(-90 14 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
+            f'{escape(ylabel, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

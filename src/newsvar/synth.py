@@ -108,7 +108,7 @@ def _block_periods(n: int, p: int) -> int:
 # holds the 2 MB Toeplitz matrix; a Monte Carlo study reuses a single entry.
 @functools.lru_cache(maxsize=4)
 def _operators(lags: bytes, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block-Toeplitz matrix and carry rows of the lag rows B[1:], given as
+    """Block-Toeplitz matrix and carry rows of the lag rows of B, given as
     their C-order float64 bytes; memoised, so the arrays are read-only."""
     block = _block_periods(n, p)
     width = block * n
@@ -144,7 +144,7 @@ def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
     eta = rng.standard_normal((total, n))
     block = _block_periods(n, p)
     width = block * n
-    toeplitz, heads = _operators(np.asarray(dgp.B[1:], dtype=float).tobytes(), n, p)
+    toeplitz, heads = _operators(dgp.var_spec.lag_rows(dgp.B).tobytes(), n, p)
     n_blocks = -(-total // block)
     u = np.zeros((n_blocks, width))
     u.reshape(-1, n)[:total] = eta @ dgp.L.T + dgp.B[0]

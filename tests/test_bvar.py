@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -162,6 +163,58 @@ class TestCompanion:
         spec = VarSpec(order=["y"], lags=2, intercept=False)
         comp = companion(np.array([[1.1], [-0.3]]), spec)
         assert spectral_radius(comp) == pytest.approx(0.6, abs=1e-12)
+
+    def test_column_count_must_match_the_spec(self):
+        # before: n was taken from B, so two lag rows of one column passed
+        # for a two-variable VAR(2) and gave a 2 x 2 companion
+        spec = VarSpec(order=["a", "b"], lags=2, intercept=False)
+        with pytest.raises(ValueError, match="expected"):
+            companion(np.zeros((2, 1)), spec)
+
+
+class TestLagRows:
+    @pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["single", "draws", "two-axes"])
+    def test_view_of_the_rows_below_the_intercept(self, intercept, lead):
+        spec = VarSpec(order=["a", "b"], lags=3, intercept=intercept)
+        assert spec.k == 6 + intercept
+        b = np.random.default_rng(1).normal(size=lead + (spec.k, 2))
+        rows = spec.lag_rows(b)
+        assert rows.shape == lead + (6, 2)
+        assert_array_equal(rows, b[..., spec.k - 6:, :])
+        rows[...] = 7.0
+        assert (b[..., spec.k - 6:, :] == 7.0).all()
+        assert (b[..., : spec.k - 6, :] != 7.0).all()
+
+    @pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
+    @pytest.mark.parametrize("extra_rows, n_cols", [(-1, 2), (1, 2), (0, 1), (0, 3)])
+    def test_wrong_row_or_column_count_refused(self, intercept, extra_rows, n_cols):
+        spec = VarSpec(order=["a", "b"], lags=3, intercept=intercept)
+        for lead in [(), (4,)]:
+            with pytest.raises(ValueError, match="expected"):
+                spec.lag_rows(np.zeros(lead + (spec.k + extra_rows, n_cols)))
+        with pytest.raises(ValueError, match="expected"):
+            spec.lag_rows(np.zeros(spec.k))
+
+    @pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
+    def test_rows_follow_the_columns_of_build_regressors(self, intercept):
+        panel = two_var_panel(t=30)
+        spec = VarSpec(order=["b", "a"], lags=3, intercept=intercept)
+        y, x = build_regressors(panel, spec)
+        assert x.shape[1] == spec.k
+        # row r of B multiplies column r of X
+        column = np.broadcast_to(np.arange(spec.k)[:, None], (spec.k, 2))
+        lag_columns = spec.lag_rows(column)[:, 0].reshape(3, 2)
+        data = panel.values[:, [1, 0]]
+        for lag in range(1, 4):
+            assert_array_equal(x[:, lag_columns[lag - 1]], data[3 - lag: 30 - lag])
+        rest = np.setdiff1d(np.arange(spec.k), lag_columns)
+        assert_array_equal(x[:, rest], np.ones((27, int(intercept))))
+
+    def test_k_is_not_a_field(self):
+        # spec_hash and posterior.json are built from the fields
+        spec = VarSpec(order=["a", "b"], lags=3)
+        assert dataclasses.asdict(spec) == {"order": ["a", "b"], "lags": 3, "intercept": True}
 
 
 def small_var_fit(t=2000, seed=11):

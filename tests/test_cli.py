@@ -610,6 +610,52 @@ index:
         assert "events.csv is not valid UTF-8" in capsys.readouterr().err
 
 
+class TestNamesInFileNames:
+    """A variable name is part of the file names irf_<name>.svg and
+    lp_<name>.*; one holding a '/' or NUL is refused before any artifact."""
+
+    def write_panel(self, tmp_path):
+        rng = np.random.default_rng(6)
+        values = np.cumsum(0.1 * rng.normal(size=(60, 2)), axis=0)
+        for name, column in (("panel.csv", "a/b"), ("shocks.csv", "news")):
+            with open(tmp_path / name, "w", encoding="utf-8") as fh:
+                fh.write(f"date,{column},tfp\n")
+                for i, row in enumerate(values):
+                    fh.write(f"{1960 + i // 4}Q{i % 4 + 1},{float(row[0])!r},{float(row[1])!r}\n")
+
+    @pytest.mark.parametrize(
+        "variables, code", [("", 3), ("variables: [a/b, tfp]\n", 2)], ids=["panel", "config"]
+    )
+    def test_irf_refuses_a_slash_before_writing(self, tmp_path, capsys, variables, code):
+        # before: irf.csv and irf.json were written, then writing
+        # irf_a/b.svg raised FileNotFoundError and the CLI exited 1
+        self.write_panel(tmp_path)
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "out: work\ndata: panel.csv\nlags: 1\ndraws: 5\nprior: {kind: flat}\n" + variables,
+        )
+        assert cli.main(["estimate", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()}
+        capsys.readouterr()
+        assert cli.main(["irf", "--config", cfg]) == code
+        assert "'a/b' holds a '/' or NUL" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()} == before
+
+    @pytest.mark.parametrize("outcome", ["a/b", '"a\\0b"'], ids=["slash", "nul"])
+    def test_lp_refuses_a_slash_or_nul_before_writing(self, tmp_path, capsys, outcome):
+        # before: tfp's artifacts were written, then lp_a/b.csv raised
+        # FileNotFoundError and the CLI exited 1
+        self.write_panel(tmp_path)
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "out: work\ndata: panel.csv\nhorizon: 4\n"
+            f"lp: {{shock_file: shocks.csv, shock_column: news, outcomes: [tfp, {outcome}]}}\n",
+        )
+        assert cli.main(["lp", "--config", cfg]) == 2
+        assert "holds a '/' or NUL" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+
 class TestConfigAndExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", "out: x\nbogus_key: 1\n")

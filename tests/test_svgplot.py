@@ -19,6 +19,16 @@ def test_output_is_well_formed_xml():
     assert len(paths) == 2  # band polygon and center line
 
 
+@pytest.mark.parametrize("name", ["R&D", "x<y", "a > b & <c>"])
+def test_markup_in_text_is_escaped(name):
+    # before: the title and label were written raw, so "R&D" gave a file
+    # that XML parsers reject as not well-formed
+    h = np.arange(3)
+    svg = line_band_svg(h, h, h - 1.0, h + 1.0, title=f"{name} response", ylabel=name)
+    texts = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+    assert texts[-2:] == [f"{name} response", name]
+
+
 def test_identical_input_gives_identical_bytes():
     assert sample_figure() == sample_figure()
 
