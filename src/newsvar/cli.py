@@ -440,7 +440,10 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(f"no posterior artifact in {out}; run the estimate command first")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unreadable {meta_path}: {exc}") from None
     spec = VarSpec(config.variables or list(meta["order"]), config.lags, config.intercept)
     _check_ordering(config, "irf", spec.order)
     for what, key, stored in (
@@ -655,7 +658,7 @@ def run(config: RunConfig, command: str) -> dict[str, Path]:
     try:
         paths = _DISPATCH[command](config, out)
         paths["manifest"] = _write_manifest(out, command, config)
-    except BaseException:
+    except BaseException as exc:
         # A failed command leaves behind no empty directory that it made.
         # Deepest first; rmdir refuses a directory that holds anything.
         for directory in made:
@@ -663,6 +666,10 @@ def run(config: RunConfig, command: str) -> dict[str, Path]:
                 directory.rmdir()
             except OSError:
                 break
+        # The commands map their reads to DataError or ConfigError, so an
+        # OSError here comes from writing an artifact.
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
         raise
     return paths
 

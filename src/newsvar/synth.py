@@ -10,14 +10,19 @@ With a zero pre-sample, period j of a block starting at t0 is
 y_{t0+j} = sum_{i<=j} Psi_{j-i} u_{t0+i} + H_j x_{t0-1}, where
 u_t = c + L eta_t, Psi_k is the top-left n x n block of C^k, H_j the top n
 rows of C^{j+1}, C the companion matrix and x the stacked last p values.
-The first sum is a product of all blocks against one block-Toeplitz matrix;
-the second carries the state across blocks with one small product each, so
-the Python work grows with the number of blocks, not of periods.
+The first sum is a product of all blocks against one block-Toeplitz matrix.
+The second carries the state across blocks. The carried state follows
+x_k = e_k + G x_{k-1}, where x_k is the last n*p values of block k, e_k
+those values of block k's Toeplitz product and G the carry rows of those
+values: a VAR(1) in n*p variables. So the same two operators, built from
+G, give every block-end state in segments of blocks, and one product then
+adds every block's carry. The carry's Python work grows with the number
+of segments, not of blocks or periods.
 
-The Toeplitz matrix and the carry rows depend only on the lag coefficients,
-so they are memoised per set of lag coefficients: Monte Carlo replications
-that change only the seed (or the intercept) skip building them and pay
-only for their shocks and the products.
+Both levels' operators depend only on the lag coefficients, so they are
+memoised per set of lag coefficients: Monte Carlo replications that change
+only the seed (or the intercept) skip building them and pay only for their
+shocks and the products.
 """
 
 from __future__ import annotations
@@ -32,16 +37,19 @@ from .panel import TimeSeriesPanel, parse_quarter, quarter_labels
 from .structural import irf_from_factors
 
 # Periods per block of the recursion, raised to the lag order when that is
-# larger (the carried state is the last p periods of a block).
+# larger (the carried state is the last p periods of a block); also blocks
+# per segment of the block-end-state recursion, a VAR(1).
 _BLOCK_PERIODS = 64
 
-# Bound on the rows of the block-Toeplitz matrix (block periods x variables):
-# at 512 it holds 512^2 doubles (2 MB), so many variables shorten the block.
+# Bound on the rows of either block-Toeplitz matrix (block periods x
+# variables): at 512 it holds 512^2 doubles (2 MB), so many variables shorten
+# the block.
 _TOEPLITZ_ROWS = 512
 
-# Multiply-adds per product against the Toeplitz matrix. OpenBLAS ran larger
-# products of these shapes on a second thread, which doubled CPU time and
-# did not lower wall time, so the product is issued in chunks of rows.
+# Multiply-adds per product against a Toeplitz matrix or the carry rows.
+# OpenBLAS ran larger products of these shapes on a second thread, which
+# doubled CPU time and did not lower wall time, so each product is issued in
+# chunks of rows.
 _PRODUCT_MACS = 1 << 16
 
 
@@ -104,16 +112,12 @@ def _block_periods(n: int, p: int) -> int:
     return max(p, min(_BLOCK_PERIODS, _TOEPLITZ_ROWS // n))
 
 
-# Operator sets held for the most recent lag coefficients. One entry at n=8
-# holds the 2 MB Toeplitz matrix; a Monte Carlo study reuses a single entry.
-@functools.lru_cache(maxsize=4)
-def _operators(lags: bytes, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block-Toeplitz matrix and carry rows of the lag rows of B, given as
-    their C-order float64 bytes; memoised, so the arrays are read-only."""
+def _block_operators(comp: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-Toeplitz matrix and carry rows of a VAR(p) in n variables with
+    companion matrix ``comp``, for blocks of ``_block_periods(n, p)`` periods."""
     block = _block_periods(n, p)
     width = block * n
     # tops[k] = top n rows of C^k: Psi_k = tops[k][:, :n], H_j = tops[j + 1]
-    comp = _companion_from_blocks(np.frombuffer(lags).reshape(n * p, n), n, p)
     tops = np.empty((block + 1, n, n * p))
     tops[0] = np.eye(n, n * p)
     for k in range(block):
@@ -127,9 +131,34 @@ def _operators(lags: bytes, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     # heads[(j, r), (l, s)] = H_j[r, (p-1-l)*n + s]: H_j's lag blocks in time
     # order, so the carried state is the previous block's last n*p values
     heads = tops[1:].reshape(width, p, n)[:, ::-1].reshape(width, n * p)
-    toeplitz.flags.writeable = False
-    heads.flags.writeable = False
     return toeplitz, heads
+
+
+# Operator sets held for the most recent lag coefficients. One entry at n=8
+# holds two operators of at most 2 MB each; a Monte Carlo study reuses a
+# single entry.
+@functools.lru_cache(maxsize=4)
+def _operators(lags: bytes, n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Block-Toeplitz matrix and carry rows of the lag rows of B, given as
+    their C-order float64 bytes, then the same pair for the block-end states
+    (a VAR(1) in n*p variables whose companion is the carry rows of a
+    block's last n*p values); memoised, so the arrays are read-only."""
+    comp = _companion_from_blocks(np.frombuffer(lags).reshape(n * p, n), n, p)
+    toeplitz, heads = _block_operators(comp, n, p)
+    operators = (toeplitz, heads, *_block_operators(heads[-n * p:], n * p, 1))
+    for operator in operators:
+        operator.flags.writeable = False
+    return operators
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, issued in chunks of rows of at most ``_PRODUCT_MACS``
+    multiply-adds each."""
+    out = np.empty((len(a), b.shape[1]))
+    rows = max(1, _PRODUCT_MACS // b.size)
+    for first in range(0, len(a), rows):
+        np.matmul(a[first:first + rows], b, out=out[first:first + rows])
+    return out
 
 
 def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
@@ -139,21 +168,27 @@ def simulate_var(dgp: Dgp, periods: int) -> tuple[TimeSeriesPanel, np.ndarray]:
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     n, p = dgp.n_vars, dgp.lags
+    m = n * p
     rng = np.random.default_rng(dgp.seed)
     total = dgp.burn_in + periods
     eta = rng.standard_normal((total, n))
-    block = _block_periods(n, p)
-    width = block * n
-    toeplitz, heads = _operators(dgp.var_spec.lag_rows(dgp.B).tobytes(), n, p)
+    block, segment = _block_periods(n, p), _block_periods(m, 1)
+    toeplitz, heads, seg_toeplitz, seg_heads = _operators(
+        dgp.var_spec.lag_rows(dgp.B).tobytes(), n, p
+    )
     n_blocks = -(-total // block)
-    u = np.zeros((n_blocks, width))
+    u = np.zeros((n_blocks, block * n))
     u.reshape(-1, n)[:total] = eta @ dgp.L.T + dgp.B[0]
-    y = np.empty_like(u)
-    rows = max(1, _PRODUCT_MACS // (width * width))
-    for first in range(0, n_blocks, rows):
-        np.matmul(u[first:first + rows], toeplitz, out=y[first:first + rows])
-    for k in range(1, n_blocks):
-        y[k] += heads @ y[k - 1, -n * p:]
+    y = _product(u, toeplitz)
+    # block-end states: each block's own last n*p values, carried through
+    # the blocks before it one segment of blocks at a time
+    n_segments = -(-n_blocks // segment)
+    own = np.zeros((n_segments, segment * m))
+    own.reshape(-1, m)[:n_blocks] = y[:, -m:]
+    ends = _product(own, seg_toeplitz)
+    for s in range(1, n_segments):
+        ends[s] += seg_heads @ ends[s - 1, -m:]
+    y[1:] += _product(ends.reshape(-1, m)[:n_blocks - 1], heads.T)
     values = y.reshape(-1, n)[dgp.burn_in:total]
     dates = quarter_labels(parse_quarter(dgp.start), periods)
     panel = TimeSeriesPanel(dates=dates, names=list(dgp.names), values=values)

@@ -410,8 +410,8 @@ class TestBatchedSamplerOracle:
             pytest.param(
                 lambda: persistent_var3_fit(intercept=True, lags=2)[0],
                 (
-                    "7ada937ccc21f9768c62dced436fb598d2b86b5aa5cd18c99240c6cfbbf6df1a",
-                    "f9203ac83a4867febe35db40cbce12f85fa30f4a915a11cca7fe4d2028c416db",
+                    "c1ddea7bd78aea7c847c295ef7e8d5a4e4194b342d28aca2d3a1eac166872907",
+                    "c12ad9452d8ed4997cc6d941c652709c8647a31c1b8e559c9c2193546e837a8b",
                     "811577fbb886b6764fa8e947d2b40e8a18f9618a059b30dfd3be4b3edf834a64",
                 ),
                 id="n3-p2",
@@ -430,10 +430,13 @@ class TestBatchedSamplerOracle:
     def test_bytes_are_pinned(self, fit, digests):
         # Any reordering of the sampler's products that changes a rounding
         # shows here. Recorded with numpy 2.4.6 and its bundled OpenBLAS on
-        # x86-64 with AVX-512. The n3-p2 digests are also those of the
-        # earlier (k, k) x (k, D*n) product for chol(Omega_bar) z; at n4-p4
+        # x86-64 with AVX-512. The earlier (k, k) x (k, D*n) product for
+        # chol(Omega_bar) z gave the n3-p2 bytes of its time too; at n4-p4
         # that product's bytes depended on the draw count. 700 draws span
-        # more than one 512-draw block of irf_bands.
+        # more than one 512-draw block of irf_bands. The n3-p2 fit's panel
+        # comes from simulate_var, so a reordering of the simulator's sums
+        # shows here as well: its digests were re-recorded when the
+        # simulator's block-to-block carry became a block-Toeplitz product.
         draws = posterior_sample(fit(), PriorSpec(kind="minnesota"), 700, seed=2026)
         got = tuple(
             hashlib.sha256(getattr(draws, name).tobytes()).hexdigest()

@@ -656,6 +656,51 @@ class TestNamesInFileNames:
         assert not (tmp_path / "work").exists()
 
 
+class TestUnwritableArtifacts:
+    """An OSError while a command writes an artifact is a config error
+    (exit 2) that names the path, not a traceback."""
+
+    def test_directory_in_place_of_an_artifact(self, tmp_path, capsys):
+        # before: an IsADirectoryError traceback from write_csv, exit 1
+        work = run_pipeline(tmp_path)
+        (work / "irf.csv").unlink()
+        (work / "irf.csv").mkdir()
+        capsys.readouterr()
+        assert cli.main(["irf", "--config", str(tmp_path / "est.yaml")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write ")
+        assert str(work / "irf.csv") in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["text", "directory"])
+    def test_unreadable_posterior_json_is_data_error(self, tmp_path, capsys, damage):
+        # before: exit 4 ("numerical error") for bad JSON; a directory in
+        # its place would have been reported as an unwritable artifact
+        work = run_pipeline(tmp_path)
+        meta = work / "posterior.json"
+        meta.unlink()
+        if damage == "text":
+            meta.write_text("{not json", encoding="utf-8")
+        else:
+            meta.mkdir()
+        capsys.readouterr()
+        assert cli.main(["irf", "--config", str(tmp_path / "est.yaml")]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: unreadable {meta}: ")
+
+    def test_directories_it_made_are_removed(self, tmp_path, monkeypatch, capsys):
+        def refuse(panel, path, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_panel", refuse)
+        cfg = write_yaml(tmp_path / "c.yaml", SIMULATE_YAML.replace("out: work", "out: a/b"))
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {tmp_path / 'a' / 'b' / 'panel.csv'}: Permission denied\n"
+        )
+        assert not (tmp_path / "a").exists()
+
+
 class TestConfigAndExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", "out: x\nbogus_key: 1\n")

@@ -6,7 +6,14 @@ from newsvar.bvar import PosteriorDraw, build_regressors, ols_estimate
 from newsvar.errors import DataError
 from newsvar.panel import format_quarter, parse_quarter
 from newsvar.structural import compute_irf
-from newsvar.synth import Dgp, _block_periods, _operators, simulate_var, true_irf
+from newsvar.synth import (
+    Dgp,
+    _block_operators,
+    _block_periods,
+    _operators,
+    simulate_var,
+    true_irf,
+)
 
 
 def pure_noise_dgp(n=2, seed=0):
@@ -149,6 +156,29 @@ class TestBlockedSimulatorOracle:
         assert np.abs(panel.values - want).max() <= 1e-12 * np.abs(want).max()
         assert_array_equal(eta, eta_want)
 
+    @pytest.mark.parametrize(
+        "dgp,extra",
+        [
+            # 0.999^4096 ~ 0.017: the carry from one segment into the next
+            # stays far above the tolerance
+            pytest.param(
+                Dgp(B=np.array([[0.3], [0.999]]), L=np.array([[0.7]]), burn_in=0, seed=12),
+                5,
+                id="n1-p1",
+            ),
+            pytest.param(stable_dgp(8, 4, seed=12, burn_in=0), 7, id="n8-p4"),
+        ],
+    )
+    def test_spans_three_segments_of_blocks(self, dgp, extra):
+        # block-end states are formed one segment of blocks at a time, each
+        # segment starting from the last state of the one before it
+        n, p = dgp.n_vars, dgp.lags
+        periods = 3 * _block_periods(n, p) * _block_periods(n * p, 1) + extra
+        want, eta_want, _ = loop_simulate(dgp, periods)
+        panel, eta = simulate_var(dgp, periods)
+        assert np.abs(panel.values - want).max() <= 1e-12 * np.abs(want).max()
+        assert_array_equal(eta, eta_want)
+
     def test_explosive_dgp_overflow_is_data_error(self):
         dgp = Dgp(B=np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 0.5]]), L=np.eye(2), burn_in=0)
         _operators.cache_clear()
@@ -203,6 +233,17 @@ class TestOperatorCache:
             assert_array_equal(eta, eta_want)
         info = _operators.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 3), (8, 4)])
+    def test_block_level_pair_is_built_from_the_carry_rows(self, n, p):
+        dgp = stable_dgp(n, p, seed=5, burn_in=0)
+        _, heads, seg_toeplitz, seg_heads = _operators(dgp.B[1:].tobytes(), n, p)
+        want_toeplitz, want_heads = _block_operators(heads[-n * p:], n * p, 1)
+        assert_array_equal(seg_toeplitz, want_toeplitz)
+        assert_array_equal(seg_heads, want_heads)
+        width = _block_periods(n * p, 1) * n * p
+        assert seg_toeplitz.shape == (width, width)
+        assert seg_heads.shape == (width, n * p)
 
     def test_cached_operators_refuse_writes(self):
         dgp = stable_dgp(2, 2, seed=4, burn_in=0)
