@@ -309,6 +309,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             f"rescale horizon {config.rescale.horizon} outside the "
             f"response horizon 0..{config.horizon}"
         )
+    ranges = {"sample": (config.sample_start, config.sample_end)}
+    if config.index is not None:
+        ranges["index"] = (config.index.start, config.index.end)
+    for label, (start, end) in ranges.items():
+        if start and end and parse_quarter(start) > parse_quarter(end):
+            raise ConfigError(f"{label} start {start} is after end {end}")
     dec = config.decompose
     if dec and dec.reference and dec.reference == dec.target:
         raise ConfigError(f"decompose reference and target must differ, both are {dec.target!r}")
@@ -698,7 +704,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     for name, path in sorted(paths.items()):

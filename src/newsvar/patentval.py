@@ -8,8 +8,11 @@ Values are then summed by quarter, split by the green flag, to form the two
 indices. Window returns arrive as data; estimating them from raw prices is
 out of scope.
 
-Events travel as ``PatentEvents``, one array per field, so loading, valuing
-and bucketing run column-wise rather than once per event.
+Events travel as ``PatentEvents``, one array per field, so valuing and
+bucketing run column-wise rather than once per event. ``load_events`` reads
+plain files through numpy's C ``loadtxt``; the rest (quoted or padded
+cells, other date or flag spellings, a NUL) and every error go to a csv
+parser that reads a row at a time, about 3x slower per row.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ from .errors import DataError, NumericalError
 from .panel import format_quarter, open_input, parse_quarter, quarter_range, write_csv
 
 _REQUIRED = ("grant_date", "firm_id", "green", "window_return", "market_cap")
-# Data rows converted per block by load_events; bounds how many per-cell
-# strings are alive at once.
-_BLOCK_ROWS = 1 << 12
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 _GREEN = {"0": False, "1": True}
 # Field types of the columnar reader. A string field is one code unit wider
@@ -329,82 +329,45 @@ def _memoised(cells, memo: dict, convert) -> tuple[list, int | None]:
     return values, (values.index(None) if None in values else None)
 
 
-def _floats(cells) -> tuple[np.ndarray, int | None]:
-    """``float`` of each cell up to the first one it rejects, and that
-    cell's index (None when every cell converts)."""
+def _parse_row(row: list[str], col: dict[str, int]) -> tuple:
+    """Event fields of one data row: days since 1970-01-01, firm, green,
+    window_return, market_cap and sigma_e (NaN when empty or absent). The
+    first check the row fails, in the order below, raises ValueError with
+    its message."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells)), None
+        day_cell, firm, flag, ret_cell, cap_cell = [row[col[name]] for name in _REQUIRED]
+    except IndexError:
+        raise ValueError("missing cells") from None
+    # no sigma_e column, or a row that ends before it, gives an empty cell
+    sigma_cell = row[col["sigma_e"]] if col.get("sigma_e", len(row)) < len(row) else ""
+    day = _iso_day(day_cell)
+    if day is None:
+        raise ValueError(f"bad grant_date {day_cell!r}")
+    green = _GREEN.get(flag.strip())
+    if green is None:
+        raise ValueError("green flag must be 0 or 1")
+    try:
+        ret, cap = float(ret_cell), float(cap_cell)
+        sigma = float(sigma_cell) if sigma_cell else math.nan
     except ValueError:
-        values = []
-        for cell in cells:
-            try:
-                values.append(float(cell))
-            except ValueError:
-                return np.array(values, dtype=float), len(values)
-        raise
+        raise ValueError("non-numeric cell") from None
+    if not math.isfinite(ret):
+        raise ValueError("window_return must be finite")
+    if not math.isfinite(cap):
+        raise ValueError("market_cap must be finite")
+    if sigma_cell and not math.isfinite(sigma):
+        raise ValueError("sigma_e must be finite")
+    if cap <= 0:
+        raise ValueError("market_cap must be > 0")
+    if sigma <= 0:
+        raise ValueError("sigma_e must be > 0")
+    return day, firm.strip(), green, ret, cap, sigma
 
 
-def _first(mask: np.ndarray) -> int | None:
-    return int(np.argmax(mask)) if mask.any() else None
-
-
-def _parse_block(rows, col: dict[str, int], width: int, memos: dict, first: int) -> tuple:
-    """Event columns of one block of data rows, the first of which is file
-    row ``first``. Each check finds its first failing row; the earliest of
-    those is raised, so the error names the same row a row-by-row loop
-    would."""
-    checks = []
-    if set(map(len, rows)) != {width}:
-        need = 1 + max(col[name] for name in _REQUIRED)
-        short = (i for i, row in enumerate(rows) if len(row) < need)
-        checks.append((next(short, None), "missing cells"))
-        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
-    cells = list(zip(*rows))
-    n = len(rows)
-    raw_day = cells[col["grant_date"]]
-    day, bad_day = _memoised(raw_day, memos["grant_date"], _iso_day)
-    green, bad_green = _memoised(
-        cells[col["green"]], memos["green"], lambda cell: _GREEN.get(cell.strip())
-    )
-    firm, _ = _memoised(cells[col["firm_id"]], memos["firm_id"], str.strip)
-    ret, bad_ret = _floats(cells[col["window_return"]])
-    cap, bad_cap = _floats(cells[col["market_cap"]])
-    if "sigma_e" in col:
-        raw_sigma = cells[col["sigma_e"]]
-        given = np.fromiter(map(bool, raw_sigma), bool, n)
-        sigma, bad_sigma = _floats([cell or "nan" for cell in raw_sigma])
-    else:
-        given, sigma, bad_sigma = np.zeros(n, dtype=bool), np.full(n, np.nan), None
-    numeric = [i for i in (bad_ret, bad_cap, bad_sigma) if i is not None]
-    checks += [
-        (bad_day, f"bad grant_date {raw_day[bad_day]!r}" if bad_day is not None else ""),
-        (bad_green, "green flag must be 0 or 1"),
-        (min(numeric, default=None), "non-numeric cell"),
-        (_first(~np.isfinite(ret)), "window_return must be finite"),
-        (_first(~np.isfinite(cap)), "market_cap must be finite"),
-        (_first(given[: len(sigma)] & ~np.isfinite(sigma)), "sigma_e must be finite"),
-        (_first(cap <= 0), "market_cap must be > 0"),
-        (_first(sigma <= 0), "sigma_e must be > 0"),
-    ]
-    failed = [(i, message) for i, message in checks if i is not None]
-    if failed:
-        i, message = min(failed, key=operator.itemgetter(0))
-        raise DataError(f"row {first + i}: {message}")
-    return (
-        np.array(day, dtype=np.int64).view("datetime64[D]"),
-        _objects(firm),
-        np.array(green, dtype=bool),
-        ret,
-        cap,
-        sigma,
-        np.full(n, np.nan),
-    )
-
-
-def _columns(reader) -> tuple[dict[str, int], int]:
+def _columns(reader) -> dict[str, int]:
     """Column index of each name in the header, the first row of the csv
-    ``reader``, and the header's width. A required column that is missing,
-    or a column the loader reads that appears twice, is a DataError."""
+    ``reader``. A required column that is missing, or a column the loader
+    reads that appears twice, is a DataError."""
     header = next(reader, None) or []
     missing = set(_REQUIRED) - set(header)
     if missing:
@@ -412,7 +375,7 @@ def _columns(reader) -> tuple[dict[str, int], int]:
     for name in (*_REQUIRED, "sigma_e"):
         if header.count(name) > 1:
             raise DataError(f"events file has duplicate column {name!r}")
-    return {name: i for i, name in enumerate(header)}, len(header)
+    return {name: i for i, name in enumerate(header)}
 
 
 def _joined(blocks) -> PatentEvents:
@@ -422,23 +385,33 @@ def _joined(blocks) -> PatentEvents:
 
 
 def _parse_rows(path) -> PatentEvents:
-    """Events of ``path`` through ``csv.reader``: any file ``load_events``
-    accepts, and the source of its every error message."""
+    """Events of ``path`` through ``csv.reader``, a row at a time: any
+    file ``load_events`` accepts, and the source of its every error
+    message, which names the first bad row."""
     with open_input(path, "events") as fh:
         reader = csv.reader(fh)
-        col, width = _columns(reader)
-        rows = filter(None, reader)
-        memos = {"grant_date": {}, "green": {}, "firm_id": {}}
-        blocks, first = [], 2
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            blocks.append(_parse_block(block, col, width, memos, first))
-            first += len(block)
-    return _joined(blocks)
+        col = _columns(reader)
+        rows = []
+        for n, row in enumerate(filter(None, reader), start=2):
+            try:
+                rows.append(_parse_row(row, col))
+            except ValueError as exc:
+                raise DataError(f"row {n}: {exc}") from None
+    day, firm, green, ret, cap, sigma = zip(*rows) if rows else [()] * 6
+    return PatentEvents(
+        grant_date=np.array(day, dtype=np.int64).view("datetime64[D]"),
+        firm_id=_objects(firm),
+        green=np.array(green, dtype=bool),
+        window_return=np.array(ret, dtype=float),
+        market_cap=np.array(cap, dtype=float),
+        sigma_e=np.array(sigma, dtype=float),
+        value=np.full(len(rows), np.nan),
+    )
 
 
 def _sigma_cell(cell: str) -> float:
-    """A sigma_e cell as ``_parse_block`` reads it: empty is NaN, anything
-    else ``float``; a value that block would refuse raises."""
+    """A sigma_e cell as ``_parse_row`` reads it: empty is NaN, anything
+    else ``float``; a value that row would refuse raises."""
     if not cell:
         return math.nan
     value = float(cell)
@@ -469,14 +442,14 @@ def _iso_days(cells: np.ndarray) -> np.ndarray | None:
 
 
 def _whole_firm(cell: str) -> str | None:
-    """A firm_id cell that ``_parse_block`` keeps as it is and loadtxt
+    """A firm_id cell that ``_parse_row`` keeps as it is and loadtxt
     cannot have cut, else None."""
     return cell if len(cell) < _FIRM_WIDTH and cell.strip() == cell else None
 
 
 def _columnar_block(records: np.ndarray, memo: dict) -> tuple | None:
     """Event columns of one ``loadtxt`` block, or None when a guard fails:
-    each column equals what ``_parse_block`` makes of the same rows only
+    each column equals what ``_parse_rows`` makes of the same rows only
     where every guard holds. ``memo`` carries the firms between blocks."""
     n = len(records)
     day = _iso_days(records["grant_date"])
@@ -508,7 +481,7 @@ def _load_columnar(path) -> PatentEvents | None:
     at a time, or None as soon as a block holds anything its guards cannot
     show ``_parse_rows`` reads the same way."""
     with open_input(path, "events") as fh:
-        col, _ = _columns(csv.reader(fh))
+        col = _columns(csv.reader(fh))
         names = [name for name in _FAST_DTYPES if name in col]
         read = functools.partial(
             np.loadtxt,
@@ -546,8 +519,10 @@ def load_events(path) -> PatentEvents:
     skipped and not counted); a missing or repeated column is a DataError.
 
     Files are first read through numpy's C ``loadtxt``, which returns only
-    columns equal to the csv parser's; any file it cannot vouch for, and
-    every error, goes to the csv parser."""
+    columns equal to the csv parser's; any file it cannot vouch for (a
+    quote, padded cells, another date or flag spelling, a NUL), and every
+    error, goes to the csv parser, which reads a row at a time and is
+    about 3x slower per row."""
     events = _load_columnar(path)
     return _parse_rows(path) if events is None else events
 

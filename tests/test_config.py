@@ -153,6 +153,26 @@ def test_reproduced_misuse_is_config_error(runnable, capsys, command, label, val
     assert not (base / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, start, end",
+    [("estimate", "sample", "1920Q1", "1910Q1"), ("index", "index", "2000Q1", "1999Q1")],
+)
+def test_inverted_range_is_config_error(runnable, capsys, command, block, start, end):
+    # before: exit 3, "data error: start ... is after end ...", once the
+    # panel or the events were read
+    base, doc = runnable
+    test_cli.TestIndexCommand().index_config(base)
+    doc["index"] = {"events": "events.csv"}
+    (base / "good.yaml").write_text(yaml.safe_dump({**doc, "out": "good"}), encoding="utf-8")
+    assert cli.main([command, "--config", str(base / "good.yaml")]) == 0
+    doc[block] = {**doc.get(block, {}), "start": start, "end": end}
+    (base / "bad.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(base / "bad.yaml")]) == 2
+    assert capsys.readouterr().err == f"config error: {block} start {start} is after end {end}\n"
+    assert not (base / "out").exists()
+
+
 # config_hash of each text as the code before the key table computed it, so
 # that manifests stay byte-identical
 PINNED_HASHES = {

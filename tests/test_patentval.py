@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -361,6 +362,28 @@ class TestEventsIo:
             load_events(path)
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1999-13-01,acme", "missing cells"),
+            ("1999-13-01,acme,2,0.02,1e9,", "bad grant_date '1999-13-01'"),
+            ("1999-02-30,acme,1,0.02,x,", "bad grant_date '1999-02-30'"),
+            ("1999-05-01,acme,yes,abc,1e9,", "green flag must be 0 or 1"),
+            ("1999-05-01,acme,1,nan,1e9,abc", "non-numeric cell"),
+            ("1999-05-01,acme,1,inf,nan,", "window_return must be finite"),
+            ("1999-05-01,acme,1,nan,-1,", "window_return must be finite"),
+            ("1999-05-01,acme,1,0.02,inf,nan", "market_cap must be finite"),
+            ("1999-05-01,acme,1,0.02,0,inf", "sigma_e must be finite"),
+            ("1999-05-01,acme,1,0.02,0,-0.05", "market_cap must be > 0"),
+        ],
+    )
+    def test_first_failing_check_within_a_row_wins(self, tmp_path, row, message):
+        # each row fails two checks; the one listed first in _parse_row wins
+        path = self.write_rows(tmp_path, self.GOOD, row)
+        for load in (load_events, patentval._parse_rows):
+            with pytest.raises(DataError, match=rf"^row 3: {re.escape(message)}$"):
+                load(path)
+
+    @pytest.mark.parametrize(
         "row, column",
         [
             ("1999-05-02,zorg,0,nan,1e9,", "window_return"),
@@ -397,11 +420,10 @@ class TestEventsIo:
         with pytest.raises(DataError, match=r"^row 3: bad grant_date"):
             load_events(path)
 
-    def test_blocks_keep_rows_and_row_numbers(self, tmp_path, monkeypatch):
+    def test_blocks_keep_rows_and_row_numbers(self, tmp_path):
         rows = [f"1999-05-{day:02d},f{day % 3},{day % 2},0.0{day},1e9,{'0.03' if day % 4 else ''}"
                 for day in range(1, 11)]
         whole = load_events(self.write_rows(tmp_path, *rows))
-        monkeypatch.setattr(patentval, "_BLOCK_ROWS", 3)
         assert list(load_events(self.write_rows(tmp_path, *rows))) == list(whole)
         rows[7] = "1999-05-08,f2,0,oops,1e9,"
         with pytest.raises(DataError, match=r"^row 9: non-numeric cell$"):
@@ -786,11 +808,11 @@ class TestColumnarReader:
         _write_benchmark_shaped_events(shaped)
         want = {path: patentval._parse_rows(path) for path in (oracle, shaped)}
 
-        def parse_block(*args):
+        def parse_rows(*args):
             raise AssertionError("the csv parser ran")
 
         monkeypatch.setattr(patentval, "_FAST_CHARS", chars)
-        monkeypatch.setattr(patentval, "_parse_block", parse_block)
+        monkeypatch.setattr(patentval, "_parse_rows", parse_rows)
         for path, events in want.items():
             assert_same_events(load_events(path), events)
         # the oracle file gives empty and given sigma_e cells
