@@ -376,6 +376,11 @@ def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
 
 def _load_pipeline(config: RunConfig) -> TimeSeriesPanel:
     panel = load_panel(config.data, config.date_column)
+    missing = [name for name in config.transforms if name not in panel.names]
+    if missing:
+        raise ConfigError(
+            f"transforms name variables not in the panel {config.data}: {missing}"
+        )
     if config.transforms:
         panel = apply_transforms(panel, config.transforms)
     if config.sample_start or config.sample_end:
@@ -550,6 +555,11 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
     panel = _load_pipeline(config)
     _check_ordering(config, "lp", panel.names)
     shocks = load_panel(config.lp.shock_file)
+    if config.lp.shock_column not in shocks.names:
+        raise ConfigError(
+            f"lp.shock_column {config.lp.shock_column!r} not in the columns "
+            f"{shocks.names} of {config.lp.shock_file}"
+        )
     # Both panels are gap-free, so their overlap is one quarterly range.
     first = max(parse_quarter(panel.dates[0]), parse_quarter(shocks.dates[0]))
     last = min(parse_quarter(panel.dates[-1]), parse_quarter(shocks.dates[-1]))

@@ -11,7 +11,7 @@ construction) and the orthogonal remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .errors import NumericalError
 from .panel import write_csv, write_json
 
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
-# Draws per block of the MA recursion in ``_ma_responses`` and of the
-# transposing copy in ``_percentile_bands``; a block is copied draws-last
-# while it is still in cache, which measured faster than whole-array passes.
+# Draws per block of the MA recursion in ``_ma_responses`` and per tile of
+# the draws-last copy in ``_percentile_bands``; a tile of a strided view is
+# copied on its own, so the view is never copied whole.
 _BAND_TILE = 512
 
 
@@ -132,19 +132,17 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
 
 def _ma_responses(
     b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Structural MA coefficients of every draw by the recursion
-    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, as one
-    (D, H+1, n, n) array and as its draws-last copy (cells, D). A block of
-    ``_BAND_TILE`` draws runs h = 1..H, one batched product of the lag blocks
-    [A_m ... A_1] (n x m*n) with the stacked [Theta_{h-m}; ...; Theta_{h-1}]
-    (m*n x n) per step, and is copied draws-last while it is in cache; no
-    draw's values depend on the block.
+) -> np.ndarray:
+    """Structural MA coefficients of every draw, (D, H+1, n, n), by the
+    recursion Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}.
+    A block of ``_BAND_TILE`` draws runs h = 1..H, one batched product of
+    the lag blocks [A_m ... A_1] (n x m*n) with the stacked
+    [Theta_{h-m}; ...; Theta_{h-1}] (m*n x n) per step; no draw's values
+    depend on the block.
     """
     lag_rows = spec.lag_rows(b)
     d, n, p = b.shape[0], impact.shape[1], spec.lags
     out = np.empty((d, horizon + 1, n, n))
-    by_cell = np.empty((out[0].size, d))
     for start in range(0, d, _BAND_TILE):
         block = out[start:start + _BAND_TILE]
         size = block.shape[0]
@@ -156,20 +154,25 @@ def _ma_responses(
             m = min(h, p)
             stacked = block[:, h - m: h].reshape(size, m * n, n)
             np.matmul(lagged[:, :, (p - m) * n:], stacked, out=block[:, h])
-        by_cell[:, start:start + size] = block.reshape(size, -1).T
-    return out, by_cell
+    return out
 
 
-def _sorted_bands(by_cell: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
-    """Sort each row of the draws-last buffer ``by_cell`` in place and
-    return its 16/50/84 percentiles shaped (3, *cells), equal to
-    ``np.percentile`` along the draws: each band interpolates two order
-    statistics by numpy's ``linear`` index rule and ``_lerp`` formula. A
-    row with a NaN draw gets NaN (NaN sorts last). At a tie between -0.0
-    and 0.0 the sign of the zero returned may differ.
+def _percentile_bands(responses: np.ndarray) -> np.ndarray:
+    """16/50/84 percentiles across draws (axis 0) of ``responses``, shaped
+    (3, *responses.shape[1:]) and equal to ``np.percentile``. The draws are
+    copied draws-last a tile at a time, each tile read straight from
+    ``responses`` (which may be a strided view), and each cell's row is
+    sorted; each band interpolates two order statistics by numpy's
+    ``linear`` index rule and ``_lerp`` formula. A cell with a NaN draw
+    gets NaN (NaN sorts last). At a tie between -0.0 and 0.0 the sign of
+    the zero returned may differ.
     """
+    d, cells = responses.shape[0], responses.shape[1:]
+    by_cell = np.empty((math.prod(cells), d))
+    for start in range(0, d, _BAND_TILE):
+        tile = responses[start:start + _BAND_TILE]
+        by_cell[:, start:start + tile.shape[0]] = tile.reshape(tile.shape[0], -1).T
     by_cell.sort(axis=1)
-    d = by_cell.shape[1]
     bands = np.empty((len(BAND_PERCENTILES), by_cell.shape[0]))
     for band, q in zip(bands, BAND_PERCENTILES):
         virtual = (d - 1) * (q / 100)
@@ -192,33 +195,22 @@ def _sorted_bands(by_cell: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
     return bands.reshape((-1,) + cells)
 
 
-def _percentile_bands(responses: np.ndarray) -> np.ndarray:
-    """``_sorted_bands`` across draws (axis 0), from a draws-last copy of
-    ``responses`` made a tile at a time."""
-    d = responses.shape[0]
-    flat = responses.reshape(d, -1)
-    by_cell = np.empty((flat.shape[1], d))
-    for start in range(0, d, _BAND_TILE):
-        by_cell[:, start:start + _BAND_TILE] = flat[start:start + _BAND_TILE].T
-    return _sorted_bands(by_cell, responses.shape[1:])
-
-
 def irf_bands(
     draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
 ) -> IrfSet:
     """Pointwise 16/50/84 percentile bands of the draw-wise responses.
 
     A list of ``PosteriorDraw`` is stacked once. The responses are computed
-    a block of draws at a time, and copied draws-last for the bands, by
-    ``_ma_responses``; they equal the per-draw ``compute_irf`` up to rounding.
+    a block of draws at a time by ``_ma_responses``; they equal the per-draw
+    ``compute_irf`` up to rounding.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if len(draws) < 2:
         raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
     draws = PosteriorDraws.stack(draws)
-    responses, by_cell = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
-    lower, median, upper = _sorted_bands(by_cell, responses.shape[1:])
+    responses = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
+    lower, median, upper = _percentile_bands(responses)
     return IrfSet(
         responses=responses,
         horizons=np.arange(horizon + 1),
@@ -254,27 +246,22 @@ def rescale_irf(
             f"at h={target_h} is zero; rescaling undefined"
         )
     factor = float(target_value / current)
-    responses = irfs.responses.copy()
-    responses[:, :, :, shock] *= factor
-    lower = irfs.lower.copy()
-    median = irfs.median.copy()
-    upper = irfs.upper.copy()
-    lower[:, :, shock], median[:, :, shock], upper[:, :, shock] = _percentile_bands(
-        responses[:, :, :, shock]
-    )
+    # one draw's shape, so the product runs over whole draws; x * 1.0 is
+    # exactly x, so the other shocks keep their bytes
+    scale = np.ones(irfs.responses.shape[1:])
+    scale[..., shock] = factor
+    responses = irfs.responses * scale
+    bands = np.stack([irfs.lower, irfs.median, irfs.upper])
+    bands[..., shock] = _percentile_bands(responses[..., shock])
     note = (
         f"{irfs.scale_note}; shock {irfs.shocks[shock]} rescaled by {factor!r} so the "
         f"median response of {target_variable} at h={target_h} equals {target_value}"
     )
-    return IrfSet(
-        responses=responses,
-        horizons=irfs.horizons.copy(),
-        variables=list(irfs.variables),
-        shocks=list(irfs.shocks),
-        lower=lower,
-        median=median,
-        upper=upper,
-        scale_note=note,
+    lower, median, upper = bands
+    return replace(
+        irfs, responses=responses, horizons=irfs.horizons.copy(),
+        variables=list(irfs.variables), shocks=list(irfs.shocks),
+        lower=lower, median=median, upper=upper, scale_note=note,
     )
 
 

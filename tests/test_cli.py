@@ -498,6 +498,18 @@ lp:
         assert payload["regimes"]["post"]["n_obs"][0] == 71
         assert payload["regimes"]["pre"]["n_obs"][0] == 232 - 1 - 71
 
+    def test_shock_column_the_shock_file_lacks_is_config_error(self, tmp_path, capsys):
+        # before: exit 3, "data error: unknown variable 'nope'"
+        cfg = self.lp_config(tmp_path)
+        text = Path(cfg).read_text().replace("shock_column: news", "shock_column: nope")
+        Path(cfg).write_text(text)
+        assert cli.main(["lp", "--config", cfg]) == 2
+        shocks = (tmp_path / "shocks.csv").resolve()
+        assert capsys.readouterr().err == (
+            f"config error: lp.shock_column 'nope' not in the columns ['news'] of {shocks}\n"
+        )
+        assert not (tmp_path / "lpout").exists()
+
     def test_disjoint_dates_are_data_error(self, tmp_path, capsys):
         cfg = self.lp_config(tmp_path)
         text = (tmp_path / "shocks.csv").read_text().replace("19", "29").replace("20", "30")
@@ -887,6 +899,23 @@ class TestConfigAndExitCodes:
         cfg = self.three_variable_config(tmp_path, "variables: [a, b, a]\n")
         assert cli.main([command, "--config", cfg]) == 2
         assert "variables list contains duplicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose", "lp"])
+    def test_transform_of_a_variable_the_panel_lacks_is_config_error(
+        self, tmp_path, capsys, command
+    ):
+        # before: exit 3, "data error: unknown variable 'zz' in transform map"
+        cfg = self.three_variable_config(
+            tmp_path,
+            "transforms: {a: level, zz: log-level}\ndecompose: {reference: a, target: b}\n"
+            "lp: {shock_file: shocks.csv, shock_column: s, outcomes: [a]}\n",
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        panel = (tmp_path / "panel.csv").resolve()
+        assert capsys.readouterr().err == (
+            f"config error: transforms name variables not in the panel {panel}: ['zz']\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "decompose"])
     def test_nu0_below_n_plus_2_is_config_error(self, tmp_path, capsys, command):

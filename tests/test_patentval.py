@@ -420,11 +420,19 @@ class TestEventsIo:
         with pytest.raises(DataError, match=r"^row 3: bad grant_date"):
             load_events(path)
 
-    def test_blocks_keep_rows_and_row_numbers(self, tmp_path):
+    def test_rows_keep_their_values_and_row_numbers(self, tmp_path):
         rows = [f"1999-05-{day:02d},f{day % 3},{day % 2},0.0{day},1e9,{'0.03' if day % 4 else ''}"
                 for day in range(1, 11)]
-        whole = load_events(self.write_rows(tmp_path, *rows))
-        assert list(load_events(self.write_rows(tmp_path, *rows))) == list(whole)
+        # the tenth row's "0.010" is 0.01
+        returns = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.01]
+        want = PatentEvents.stack(
+            PatentEvent(
+                dt.date(1999, 5, day), f"f{day % 3}", day % 2 == 1, ret, 1e9,
+                sigma_e=None if day % 4 == 0 else 0.03,
+            )
+            for day, ret in zip(range(1, 11), returns)
+        )
+        assert_same_events(load_events(self.write_rows(tmp_path, *rows)), want)
         rows[7] = "1999-05-08,f2,0,oops,1e9,"
         with pytest.raises(DataError, match=r"^row 9: non-numeric cell$"):
             load_events(self.write_rows(tmp_path, *rows))

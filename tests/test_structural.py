@@ -327,6 +327,36 @@ class TestRescaleIrf:
         # other shocks untouched
         assert_array_equal(out.responses[:, :, :, 1], irfs.responses[:, :, :, 1])
 
+    @pytest.mark.parametrize("shock, target", [(0, 1.0), (1, -0.3)])
+    def test_input_is_left_alone_and_nothing_is_shared(self, shock, target):
+        irfs = self.make_bands(seed=6)
+        arrays = ("responses", "horizons", "lower", "median", "upper")
+        before = {name: getattr(irfs, name).copy() for name in arrays}
+        lists = {name: list(getattr(irfs, name)) for name in ("variables", "shocks")}
+        note = irfs.scale_note
+        out = rescale_irf(irfs, shock, "stock", 4, target)
+        for name in arrays:
+            assert getattr(irfs, name).tobytes() == before[name].tobytes(), name
+            for other in arrays:
+                assert not np.shares_memory(getattr(out, other), getattr(irfs, name)), (other, name)
+        for name, value in lists.items():
+            assert getattr(irfs, name) == value
+            assert getattr(out, name) == value and getattr(out, name) is not getattr(irfs, name)
+        assert irfs.scale_note == note
+
+    @pytest.mark.parametrize("shock, target", [(0, 1.0), (1, -0.3)])
+    def test_one_shock_scaled_exactly_others_keep_their_bytes(self, shock, target):
+        irfs = self.make_bands(seed=6)
+        out = rescale_irf(irfs, shock, "stock", 4, target)
+        factor = target / irfs.median[4, 1, shock]
+        scaled = irfs.responses[..., shock] * factor
+        assert out.responses[..., shock].tobytes() == scaled.tobytes()
+        other = 1 - shock
+        assert out.responses[..., other].tobytes() == irfs.responses[..., other].tobytes()
+        for band in ("lower", "median", "upper"):
+            kept = getattr(irfs, band)[..., other]
+            assert getattr(out, band)[..., other].tobytes() == kept.tobytes()
+
     def test_zero_median_rejected(self):
         irfs = self.make_bands()
         irfs.median[5, 0, 0] = 0.0
