@@ -43,6 +43,7 @@ from .bvar import (
 from .errors import ConfigError, DataError, NumericalError
 from .localproj import lp_irf, lp_irf_state, lp_to_csv, lp_to_json
 from .panel import (
+    MissingDateColumnError,
     TimeSeriesPanel,
     align_range,
     apply_transforms,
@@ -375,7 +376,14 @@ def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
 
 
 def _load_pipeline(config: RunConfig) -> TimeSeriesPanel:
-    panel = load_panel(config.data, config.date_column)
+    try:
+        panel = load_panel(config.data, config.date_column)
+    except MissingDateColumnError as exc:
+        # the panel may lack the default date column; one the config names
+        # is the config's to get right
+        if config.date_column == RunConfig.date_column:
+            raise
+        raise ConfigError(f"date_column: {exc} of {config.data}") from None
     missing = [name for name in config.transforms if name not in panel.names]
     if missing:
         raise ConfigError(

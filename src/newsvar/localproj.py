@@ -8,7 +8,9 @@ The state-dependent variant interacts both regressors with a 0/1 regime
 dummy dated at the shock, with no common intercept, which reproduces
 split-sample point estimates exactly. Both variants run one per-horizon
 regression on [w, w*shock] for each regime weight w: a column of ones
-when pooled, D and 1-D when regime-split, solved in closed form.
+when pooled, D and 1-D when regime-split, solved in closed form. Each
+regime's rows, its shock on them and its constant-shock test are formed
+once per call, and horizon h takes a prefix of them.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ def _series(**named) -> list[np.ndarray]:
 
 def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     """One result per regime of ``regimes``, pairs of a label and a 0/1
-    weight series dated at the shock. At each horizon the long difference is
-    regressed on [w, w*shock] for every weight w, with no other regressor.
+    weight series dated at the shock, or None when pooled. Each horizon
+    regresses the long difference on [w, w*shock] for every w, and nothing else.
 
     The regimes are disjoint, so the design's [w, w*shock] blocks are
     orthogonal and each regime is its own two-column fit over its m usable
@@ -137,66 +139,72 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    # ptp, not var: the mean of a constant series can round, so its
-    # variance need not be exactly zero
+    # ptp, not var: a constant series' variance can round away from zero
     if np.ptp(shock) == 0.0:
         raise DataError("constant shock series")
     t = y.shape[0]
     shape = (len(regimes), horizon + 1)
     alpha, beta, se = np.empty(shape), np.empty(shape), np.empty(shape)
     n_obs = np.empty(shape, dtype=int)
-    # The usable rows of each regime over every date t >= 1; at horizon h
-    # they are the first t-1-h of them.
-    in_regime = [(label, weight[1:] == 1.0) for label, weight in regimes]
+    # Once per call, per regime: its rows among the dates t >= 1 (a slice
+    # when pooled), its shock on them, and the first row whose shock differs
+    # from the first row's, or their count. Horizon h takes the m before t-1-h.
+    pooled = regimes[0][1] is None
+    in_regime = []
+    for label, weight in regimes:
+        rows = slice(None) if pooled else np.flatnonzero(weight[1:] == 1.0)
+        s_all = shock[1:][rows]
+        in_regime.append((label, rows, s_all, np.append(s_all != s_all[:1], True).argmax()))
     for h in range(horizon + 1):
         n_h = t - 1 - h
         # The HAC lag h+1 must also fit inside the usable sample.
         if n_h < 3 or h + 1 >= n_h:
             raise DataError(f"too few usable observations at horizon {h} (n={n_h})")
         lhs = y[1 + h:] - y[:n_h]
-        s = shock[1: t - h]
         fits, sv = [], []
-        for r, (label, usable) in enumerate(in_regime):
-            rows = usable[:n_h]
-            m = n_obs[r, h] = np.count_nonzero(rows)
+        for r, (label, rows, s_all, first_change) in enumerate(in_regime):
+            m = n_obs[r, h] = n_h if pooled else int(np.searchsorted(rows, n_h))
             if m < 3:
                 raise DataError(
                     f"regime {label} has too few usable observations at horizon {h} (n={m})"
                 )
-            # a pooled regime takes every row without a copy
-            if m == n_h:
-                rows = slice(None)
-            s_r = s[rows]
-            if np.ptp(s_r) == 0.0:
+            if m <= first_change:
                 raise DataError(
                     f"constant shock over the usable sample of regime {label} at horizon {h}"
                 )
+            s_r = s_all[:m]
             s_bar = s_r.sum() / m
             dev = s_r - s_bar
-            # an overflowed ss gives non-finite singular values, which fail
-            # the rank check below; past the product, the closed form runs
-            # on Python numbers, which overflow without a warning
+            # an overflowed ss fails the rank check below, whose closed form
+            # runs on Python numbers, which overflow without a warning
             with np.errstate(over="ignore"):
                 ss = dev @ dev
-            fits.append((rows, m, s_bar, dev, ss))
-            sv += _block_singular_values(int(m), float(s_bar), float(ss))
+            fits.append((rows if pooled else rows[:m], m, s_r, s_bar, dev, ss))
+            sv += _block_singular_values(m, float(s_bar), float(ss))
         try:
             _check_singular_values(np.sort(sv)[::-1], _HAC_WHAT)
         except NumericalError:
             # ss under- or overflows beyond a shock spread of ~1e-154 or
             # ~1e154, so the closed form cannot report the values; the SVD can
-            blocks = [np.column_stack([np.ones(m), s[rows]]) for rows, m, *_ in fits]
+            blocks = [np.column_stack([np.ones(m), s_r]) for _, m, s_r, *_ in fits]
             exact = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
             _check_singular_values(np.sort(exact)[::-1], _HAC_WHAT)
             raise
-        scores = np.zeros((n_h, len(regimes)))
-        for r, (rows, m, s_bar, dev, ss) in enumerate(fits):
-            y_r = lhs[rows]
-            y_bar = y_r.sum() / m
-            beta[r, h] = (dev @ y_r) / ss
+        scores = lhs[:, None] if pooled else np.zeros((n_h, len(regimes)))
+        for r, (rows, m, _, s_bar, dev, ss) in enumerate(fits):
+            u = lhs[rows]
+            y_bar = u.sum() / m
+            beta[r, h] = (dev @ u) / ss
             alpha[r, h] = y_bar - beta[r, h] * s_bar
-            scores[rows, r] = dev * (y_r - y_bar - beta[r, h] * dev) / ss
-        se[:, h] = np.sqrt(np.diag(_hac(scores, h + 1)))
+            # u (when pooled a view of lhs, which the scores hold) becomes
+            # dev * (u - y_bar - beta * dev) / ss, in that expression's order
+            u -= y_bar
+            u -= beta[r, h] * dev
+            u *= dev
+            u /= ss
+            if not pooled:
+                scores[rows, r] = u
+        se[:, h] = np.sqrt(_hac(scores, h + 1).diagonal())
     return [
         LocalProjectionResult(np.arange(horizon + 1), *fields)
         for fields in zip(alpha, beta, se, n_obs)
@@ -206,7 +214,7 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
 def lp_irf(y: np.ndarray, shock: np.ndarray, horizon: int) -> LocalProjectionResult:
     """Local-projection responses of y to the shock over horizons 0..horizon."""
     y, shock = _series(y=y, shock=shock)
-    return _project(y, shock, [("all", np.ones(y.shape[0]))], horizon)[0]
+    return _project(y, shock, [("all", None)], horizon)[0]
 
 
 def lp_irf_state(
@@ -233,21 +241,13 @@ def _regimes(result) -> list[tuple[str, LocalProjectionResult]]:
 
 
 def _columns(res: LocalProjectionResult) -> dict[str, list]:
-    return {
-        "horizons": [int(h) for h in res.horizons],
-        "alpha": [float(v) for v in res.alpha],
-        "beta": [float(v) for v in res.beta],
-        "se": [float(v) for v in res.se],
-        "n_obs": [int(v) for v in res.n_obs],
-    }
+    names = ("horizons", "alpha", "beta", "se", "n_obs")
+    return {name: getattr(res, name).tolist() for name in names}
 
 
 def lp_to_csv(result, path) -> None:
-    """CSV with columns horizon, beta, se, n_obs, regime.
-
-    Accepts a LocalProjectionResult (regime written as ``all``) or a
-    StateLpResult (one block per regime).
-    """
+    """CSV with columns horizon, beta, se, n_obs, regime: one block per
+    regime of a StateLpResult, or one block ``all``."""
     rows = []
     for regime, res in _regimes(result):
         c = _columns(res)

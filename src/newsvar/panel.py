@@ -166,6 +166,10 @@ def header_round_trips(name) -> bool:
     return str(name) == str(name).strip()
 
 
+class MissingDateColumnError(DataError):
+    """A panel's header lacks the date column its reader was told to use."""
+
+
 def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
     """Read a panel CSV (header row, one YYYYQn date column, numeric columns).
 
@@ -180,7 +184,7 @@ def load_panel(path, date_column: str = "date") -> TimeSeriesPanel:
             raise DataError(f"empty panel file {path}") from None
         header = [h.strip() for h in header]
         if date_column not in header:
-            raise DataError(f"date column {date_column!r} not found in {header}")
+            raise MissingDateColumnError(f"date column {date_column!r} not found in {header}")
         date_idx = header.index(date_column)
         names = [h for i, h in enumerate(header) if i != date_idx]
         rows = []

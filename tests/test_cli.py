@@ -917,6 +917,33 @@ class TestConfigAndExitCodes:
         )
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "decompose", "lp"])
+    def test_date_column_the_panel_lacks_is_config_error(self, tmp_path, capsys, command):
+        # before: exit 3, "data error: date column 'when' not found in [...]"
+        cfg = self.three_variable_config(
+            tmp_path,
+            "date_column: when\ndecompose: {reference: a, target: b}\n"
+            "lp: {shock_file: shocks.csv, shock_column: s, outcomes: [a]}\n",
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        panel = (tmp_path / "panel.csv").resolve()
+        assert capsys.readouterr().err == (
+            "config error: date_column: date column 'when' not found in "
+            f"['date', 'a', 'b', 'c'] of {panel}\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("extra", ["", "date_column: date\n"], ids=["unset", "set"])
+    def test_default_date_column_the_panel_lacks_is_data_error(self, tmp_path, capsys, extra):
+        cfg = self.three_variable_config(tmp_path, extra)
+        panel = tmp_path / "panel.csv"
+        panel.write_text(panel.read_text(encoding="utf-8").replace("date,", "quarter,", 1))
+        assert cli.main(["estimate", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "data error: date column 'date' not found in ['quarter', 'a', 'b', 'c']\n"
+        )
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["estimate", "decompose"])
     def test_nu0_below_n_plus_2_is_config_error(self, tmp_path, capsys, command):
         # before: exit 4, "numerical error: nu0 must be >= n+2 = 5"

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -161,6 +162,24 @@ class TestLpIrf:
             lp_irf(y, np.r_[4.0, np.full(19, 0.1)], 2)
         with pytest.raises(DataError, match="constant shock series"):
             lp_irf(y, np.full(20, 0.1), 2)
+        # only the last value differs: horizon 0 uses it, horizon 1 does not
+        shock = np.r_[np.full(19, 0.1), 0.3]
+        assert lp_irf(y, shock, 0).n_obs[0] == 19
+        with pytest.raises(DataError, match="constant shock .*regime all at horizon 1$"):
+            lp_irf(y, shock, 2)
+
+    @pytest.mark.parametrize("last", [0.0, 0.5], ids=["all-zero", "last-differs"])
+    def test_shock_of_signed_zeros_is_constant(self, last):
+        # 0.0 and -0.0 compare equal, so ptp calls the shock constant; the
+        # unused first value keeps the whole series from being constant
+        y = np.arange(30.0) ** 2
+        shock = np.where(np.arange(30) % 2 == 0, 0.0, -0.0)
+        shock[0] = 1.0
+        shock[-1] = last
+        assert np.ptp(shock[1:-1]) == 0.0 and np.signbit(shock[1:-1]).any()
+        horizon = 0 if last == 0.0 else 1
+        with pytest.raises(DataError, match=f"^constant shock .*regime all at horizon {horizon}$"):
+            lp_irf(y, shock, 3)
 
     def test_h0_on_ten_points_uses_nine_observations(self):
         rng = np.random.default_rng(6)
@@ -272,12 +291,32 @@ class TestLpIrfState:
 
     def test_shock_constant_within_one_regime_is_data_error(self):
         # before: NumericalError from the HAC rank check (exit 4)
-        y, shock, dummy = self.make_regime_data(t=80, seed=18)
-        shock = np.where(dummy == 0.0, 0.7, shock)
+        y, raw, dummy = self.make_regime_data(t=80, seed=18)
+        shock = np.where(dummy == 0.0, 0.7, raw)
         with pytest.raises(DataError, match="constant shock .*regime 0 at horizon 0"):
             lp_irf_state(y, shock, dummy, 3)
         with pytest.raises(DataError, match="constant shock .*regime 1 at horizon 0"):
             lp_irf_state(y, shock, 1.0 - dummy, 3)
+        # regime 0 now holds the later rows, and its shock differs only at its
+        # last usable row: shock index 79 (the sample's last row) for one
+        # dummy, index 76 for the other, whose last three rows are regime 1
+        for last, horizon in ((79, 1), (76, 4)):
+            d = 1.0 - dummy
+            d[last + 1:] = 1.0
+            s = np.where(d == 0.0, 0.7, raw)
+            s[last] = -0.2
+            assert lp_irf_state(y, s, d, horizon - 1).pre.n_obs[-1] >= 3
+            with pytest.raises(DataError, match=f"constant shock .*regime 0 at horizon {horizon}$"):
+                lp_irf_state(y, s, d, 6)
+            with pytest.raises(DataError, match=f"constant shock .*regime 1 at horizon {horizon}$"):
+                lp_irf_state(y, s, 1.0 - d, 6)
+
+    def test_shock_of_signed_zeros_within_one_regime_is_constant(self):
+        y, shock, dummy = self.make_regime_data(t=80, seed=18)
+        shock = np.where(dummy == 0.0, np.where(np.arange(80) % 2 == 0, 0.0, -0.0), shock)
+        assert np.signbit(shock[dummy == 0.0]).any()
+        with pytest.raises(DataError, match="^constant shock .*regime 0 at horizon 0$"):
+            lp_irf_state(y, shock, dummy, 3)
 
     def test_regime_sizes_sum_to_unconditional(self):
         y, shock, dummy = self.make_regime_data(t=300, seed=16)
@@ -437,6 +476,35 @@ def test_lp_irf_state_matches_reference_on_criterion_05_design():
     pre, post = reference_lp_irf_state(y, shock, dummy, 8)
     assert_same_result(result.pre, pre)
     assert_same_result(result.post, post)
+
+
+# SHA-256 of alpha, beta, se and n_obs (in that order) on one seeded series
+# whose regime dummy switches 55 times and whose two regimes both lose rows
+# as the horizon grows. Recorded before the per-call regime set-up replaced
+# the per-horizon one, which must leave every byte as it was.
+PINNED_LP_DIGESTS = {
+    "all": "eeed221933104a3c6914cd439f158da2fa775330c9c34f4e3028a1016efa3241",
+    "pre": "dc13219b9d3c3ac83a9445fa5cad4462352dd6bf55b5de9bdbce7c499ac205b3",
+    "post": "4219a1a06df3fde4c4d278f53f19e7a435360541527c1f5524cb5ee1abaf7ce3",
+}
+
+
+def test_bytes_are_pinned():
+    rng = np.random.default_rng(605)
+    t = 600
+    shock = rng.standard_t(4, size=t)
+    y = np.cumsum(rng.normal(size=t)) + 0.8 * shock
+    dummy = (np.cumsum(rng.random(t) < 0.1) % 2).astype(float)
+    state = lp_irf_state(y, shock, dummy, 8)
+    assert state.pre.n_obs[-1] < state.pre.n_obs[0]
+    assert state.post.n_obs[-1] < state.post.n_obs[0]
+    got = {}
+    for name, res in (("all", lp_irf(y, shock, 8)), ("pre", state.pre), ("post", state.post)):
+        digest = hashlib.sha256()
+        for field in ("alpha", "beta", "se", "n_obs"):
+            digest.update(getattr(res, field).tobytes())
+        got[name] = digest.hexdigest()
+    assert got == PINNED_LP_DIGESTS
 
 
 # The per-horizon core needs no factorisation: the closed-form singular
