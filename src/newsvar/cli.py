@@ -455,7 +455,8 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
     another VAR spec or prior than ``config`` describes (the config's
     ordering defaults to the stored one), holds too few draws for bands or a
     non-finite coefficient or covariance, or has arrays that are missing or
-    disagree with ``posterior.json``."""
+    disagree with ``posterior.json``. A ``posterior.json`` that is not an
+    object holding each field read here, of its kind, is a data error."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(f"no posterior artifact in {out}; run the estimate command first")
@@ -463,6 +464,19 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"unreadable {meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(
+            f"malformed {meta_path}: expected a JSON object, got {json.dumps(meta)[:40]}; "
+            f"re-run estimate"
+        )
+    fields = {"spec_hash": "str", "prior_hash": "str", "n_draws": "int"}
+    if not config.variables:
+        fields["order"] = "names"
+    for key, kind in fields.items():
+        test, what = _KINDS[kind]
+        if key not in meta or not test(meta[key]):
+            got = f"got {meta[key]!r}" if key in meta else "it is missing"
+            raise DataError(f"malformed {meta_path}: {key!r} must be {what}, {got}; re-run estimate")
     spec = VarSpec(config.variables or list(meta["order"]), config.lags, config.intercept)
     _check_ordering(config, "irf", spec.order)
     for what, key, stored in (
@@ -508,10 +522,22 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
     shock = spec.order.index(shock_name)
     irfs = irf_bands(draws, spec, config.horizon)
     if config.rescale is not None:
-        irfs = rescale_irf(
-            irfs, shock=shock, target_variable=config.rescale.variable,
+        # Only the bands are written, so rescale a one-shock view instead of
+        # letting rescale_irf copy every shock's responses.
+        one = slice(shock, shock + 1)
+        rescaled = rescale_irf(
+            dataclasses.replace(
+                irfs, responses=irfs.responses[..., one], shocks=[shock_name],
+                lower=irfs.lower[..., one], median=irfs.median[..., one],
+                upper=irfs.upper[..., one],
+            ),
+            shock=0, target_variable=config.rescale.variable,
             target_h=config.rescale.horizon, target_value=config.rescale.value,
         )
+        irfs.lower[..., one] = rescaled.lower
+        irfs.median[..., one] = rescaled.median
+        irfs.upper[..., one] = rescaled.upper
+        irfs.scale_note = rescaled.scale_note
     paths = {"csv": out / "irf.csv", "json": out / "irf.json"}
     irf_to_csv(irfs, paths["csv"])
     irf_to_json(irfs, paths["json"])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from numpy.testing import assert_array_equal
 
 import newsvar
 from newsvar import cli
-from newsvar.bvar import posterior_sample
+from newsvar.bvar import PosteriorDraws, VarSpec, posterior_sample
 from newsvar.panel import load_panel
 from newsvar.patentval import filter_value
+from newsvar.structural import irf_bands, irf_to_csv, irf_to_json, rescale_irf
 
 
 def write_yaml(path, text):
@@ -148,6 +150,80 @@ horizon: 4
         g_idx = payload["variables"].index("g")
         assert payload["median"][4][g_idx][0] == pytest.approx(1.0, abs=1e-12)
         assert "rescaled" in payload["scale_note"]
+
+
+def estimate_var(tmp_path, n, draws, horizon):
+    """Simulate an n-variable VAR(1) through the CLI into ``work`` and
+    estimate its posterior there; returns the estimate config as a dict."""
+    names = [f"v{i}" for i in range(n)]
+    lags = 0.4 * np.eye(n) + 0.1 * np.tri(n, k=-1)
+    dgp = {
+        "coefficients": [[0.1] * n, *lags.tolist()],
+        "impact": (np.eye(n) + 0.3 * np.tri(n, k=-1)).tolist(),
+        "periods": 200, "burn_in": 50, "names": names,
+    }
+    est = {
+        "out": "work", "data": "work/panel.csv", "variables": names, "lags": 1,
+        "prior": {"kind": "flat"}, "draws": draws, "seed": 2, "horizon": horizon,
+    }
+    for command, doc in (("simulate", {"out": "work", "seed": 5, "dgp": dgp}), ("estimate", est)):
+        cfg = write_yaml(tmp_path / f"{command}.yaml", yaml.safe_dump(doc))
+        assert cli.main([command, "--config", cfg]) == 0
+    return est
+
+
+class TestRescaleOneShock:
+    """The CLI rescales a one-shock view of the bands; its artifacts must be
+    those of the library's full ``rescale_irf``."""
+
+    @pytest.fixture(scope="class")
+    def estimated(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("rescale")
+        return tmp_path, estimate_var(tmp_path, n=3, draws=300, horizon=6)
+
+    @pytest.mark.parametrize("value", [0.7, -2.5])
+    @pytest.mark.parametrize("shock", [0, 1, 2])
+    def test_artifacts_equal_the_library_rescale(self, estimated, shock, value):
+        tmp_path, est = estimated
+        names, work = est["variables"], tmp_path / "work"
+        rescale = {"variable": "v1", "horizon": 3, "value": value}
+        cfg = write_yaml(
+            tmp_path / "irf.yaml",
+            yaml.safe_dump({**est, "irf_shock": names[shock], "rescale": rescale}),
+        )
+        assert cli.main(["irf", "--config", cfg]) == 0
+
+        draws = PosteriorDraws(*(
+            np.load(work / f"posterior_{name}.npy")
+            for name in ("coefficients", "covariances", "stable")
+        ))
+        irfs = rescale_irf(
+            irf_bands(draws, VarSpec(names, 1, True), est["horizon"]), shock, "v1", 3, value,
+        )
+        assert "rescaled" in irfs.scale_note
+        irf_to_csv(irfs, tmp_path / "want.csv")
+        irf_to_json(irfs, tmp_path / "want.json")
+        assert (work / "irf.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (work / "irf.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_irf_holds_one_copy_of_the_responses(self, tmp_path):
+        # tracemalloc counts numpy's buffers. With n=6 and 3000 draws the
+        # responses take 18.1 MB; irf peaked at 2.27x that while the bands
+        # sorted a draws-last copy of every cell and rescale_irf copied
+        # every shock, and at 1.38x with a small sort buffer and a
+        # one-shock rescale.
+        est = estimate_var(tmp_path, n=6, draws=3000, horizon=20)
+        rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
+        cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
+        config = cli.load_config(cfg)
+        tracemalloc.start()
+        try:
+            cli.run(config, "irf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        responses = 3000 * 21 * 6 * 6 * 8
+        assert peak < 1.6 * responses, peak / responses
 
 
 class TestPosteriorArtifact:
@@ -685,20 +761,48 @@ class TestUnwritableArtifacts:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["text", "directory"])
+    # Valid JSON that is not what estimate writes, as a change to the
+    # stored fields; "order" is read only when the config names no
+    # variables.
+    MALFORMED = {
+        "empty object": lambda stored: {},
+        "array": lambda stored: [],
+        "number hash": lambda stored: {**stored, "spec_hash": 5},
+        "text draws": lambda stored: {**stored, "n_draws": "60"},
+        "bool draws": lambda stored: {**stored, "n_draws": True},
+        "no order": lambda stored: {k: v for k, v in stored.items() if k != "order"},
+        "number order": lambda stored: {**stored, "order": [1, 2]},
+    }
+
+    @pytest.mark.parametrize("damage", ["text", "directory", *MALFORMED])
     def test_unreadable_posterior_json_is_data_error(self, tmp_path, capsys, damage):
         # before: exit 4 ("numerical error") for bad JSON; a directory in
-        # its place would have been reported as an unwritable artifact
+        # its place would have been reported as an unwritable artifact.
+        # Malformed JSON was a KeyError or TypeError traceback (exit 1), or
+        # a posterior "estimated under a different" spec or "holding True
+        # draw" (exit 2).
         work = run_pipeline(tmp_path)
         meta = work / "posterior.json"
+        stored = json.loads(meta.read_text(encoding="utf-8"))
         meta.unlink()
+        cfg = tmp_path / "est.yaml"
         if damage == "text":
             meta.write_text("{not json", encoding="utf-8")
-        else:
+        elif damage == "directory":
             meta.mkdir()
+        else:
+            meta.write_text(json.dumps(self.MALFORMED[damage](stored)), encoding="utf-8")
+            if "order" in damage:
+                cfg.write_text(ESTIMATE_YAML.replace("variables: [ng, g]\n", ""), encoding="utf-8")
         capsys.readouterr()
-        assert cli.main(["irf", "--config", str(tmp_path / "est.yaml")]) == 3
-        assert capsys.readouterr().err.startswith(f"data error: unreadable {meta}: ")
+        assert cli.main(["irf", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        if damage in ("text", "directory"):
+            assert err.startswith(f"data error: unreadable {meta}: ")
+        else:
+            assert err.startswith(f"data error: malformed {meta}: ")
+            assert err.endswith("; re-run estimate\n")
+            assert err.count("\n") == 1
 
     def test_directories_it_made_are_removed(self, tmp_path, monkeypatch, capsys):
         def refuse(panel, path, **kwargs):

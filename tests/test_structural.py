@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,36 @@ class TestPercentileBands:
         out = rescale_irf(irfs, 1, "stock", 6, target)
         want = np.percentile(out.responses, BAND_PERCENTILES, axis=0)
         assert_array_equal(np.stack([out.lower, out.median, out.upper]), want)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_many_cells_span_groups(self, view):
+        # 2 x 84 + 7 cells, so the last group is partial; a NaN, a tie and
+        # infinities fall in different groups
+        x = np.random.default_rng(5).normal(size=(513, 7, 5, 5 + view))
+        x[:, 6, 4] = -np.inf
+        x[:, 0, 0, 0] = 0.5
+        x[100, 3, 2, 1] = np.nan
+        x[7, 6, 3, 2] = np.inf
+        if view:
+            x = x[..., 1:]
+            assert not x.flags.c_contiguous
+        with np.errstate(invalid="ignore"):
+            got = _percentile_bands(x)
+            want = np.percentile(x, BAND_PERCENTILES, axis=0)
+        assert_array_equal(got, want)
+        assert np.isnan(got[:, 3, 2, 1 - view]).all()
+
+    def test_peak_memory_is_a_fraction_of_the_responses(self):
+        # tracemalloc counts numpy's buffers; a draws-last copy of every
+        # cell peaked at 1.00x the responses, the group buffer at 0.11x
+        x = np.random.default_rng(6).normal(size=(2000, 21, 6, 6))
+        tracemalloc.start()
+        try:
+            _percentile_bands(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes, peak / x.nbytes
 
     def test_bands_do_not_call_numpy_percentile(self, monkeypatch):
         def refuse(*args, **kwargs):
