@@ -453,10 +453,10 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
 def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDraws]:
     """The posterior artifact in ``out``, refused when it was estimated under
     another VAR spec or prior than ``config`` describes (the config's
-    ordering defaults to the stored one), holds too few draws for bands or a
-    non-finite coefficient or covariance, or has arrays that are missing or
-    disagree with ``posterior.json``. A ``posterior.json`` that is not an
-    object holding each field read here, of its kind, is a data error."""
+    ordering defaults to the stored one), has arrays that are missing or
+    disagree with ``posterior.json``, holds too few draws for bands, or holds
+    a non-finite coefficient or covariance. A ``posterior.json`` that is not
+    an object holding each field read here, of its kind, is a data error."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(f"no posterior artifact in {out}; run the estimate command first")
@@ -488,11 +488,6 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
                 f"the posterior in {out} was estimated under a different {what} "
                 f"than this config; re-run estimate"
             )
-    if meta["n_draws"] < 2:
-        raise ConfigError(
-            f"the posterior in {out} holds {meta['n_draws']} draw; bands need at "
-            f"least 2, so re-run estimate with --draws 2 or more"
-        )
     try:
         draws = PosteriorDraws(*map(np.load, _posterior_paths(out).values()))
     except (OSError, ValueError) as exc:
@@ -502,6 +497,13 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
         raise DataError(
             f"posterior coefficients in {out} have shape {draws.B.shape} but "
             f"posterior.json records {expected}; re-run estimate"
+        )
+    # after the shape check, so a count estimate cannot have written (0 or
+    # negative) is damage, not a posterior too small for bands
+    if meta["n_draws"] < 2:
+        raise ConfigError(
+            f"the posterior in {out} holds {meta['n_draws']} draw; bands need at "
+            f"least 2, so re-run estimate with --draws 2 or more"
         )
     finite = np.isfinite(draws.B).all(axis=(1, 2)) & np.isfinite(draws.Sigma).all(axis=(1, 2))
     if not finite.all():
@@ -521,6 +523,9 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
     shock_name = config.irf_shock or spec.order[0]
     shock = spec.order.index(shock_name)
     irfs = irf_bands(draws, spec, config.horizon)
+    # This frame holds the last reference to B and Sigma; drop it so the
+    # rescale's copy of the shock does not stack on the posterior.
+    del draws
     if config.rescale is not None:
         # Only the bands are written, so rescale a one-shock view instead of
         # letting rescale_irf copy every shock's responses.
