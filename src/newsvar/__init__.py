@@ -48,6 +48,7 @@ from .structural import (
     decompose_residuals,
     irf_bands,
     rescale_irf,
+    shock_irf_bands,
     standardize_shock,
 )
 from .synth import Dgp, simulate_var, true_irf
@@ -80,6 +81,7 @@ __all__ = [
     "compute_irf",
     "irf_bands",
     "rescale_irf",
+    "shock_irf_bands",
     "decompose_residuals",
     "standardize_shock",
     "LocalProjectionResult",

@@ -64,12 +64,15 @@ from .patentval import (
     write_index,
 )
 from .structural import (
+    IrfSet,
     decompose_residuals,
     decomposition_to_csv,
+    # cmd_irf does not call it, but perfbench's CLI_TABLE traces it by this name
     irf_bands,
     irf_to_csv,
     irf_to_json,
     rescale_irf,
+    shock_irf_bands,
     standardize_shock,
 )
 from .svgplot import line_band_svg
@@ -522,27 +525,30 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
         _check_file_names(spec.order, DataError, "the panel's variable")
     shock_name = config.irf_shock or spec.order[0]
     shock = spec.order.index(shock_name)
-    irfs = irf_bands(draws, spec, config.horizon)
+    rescale = config.rescale
+    if rescale is not None and rescale.horizon == 0 and spec.order.index(rescale.variable) < shock:
+        raise ConfigError(
+            f"rescale variable {rescale.variable!r} is ordered before shock {shock_name!r} "
+            f"in {spec.order}, so its response at h=0 is zero by the Cholesky ordering; "
+            f"rescale at a later horizon or reorder the variables"
+        )
+    bands, reported = shock_irf_bands(draws, spec, config.horizon, shock)
     # This frame holds the last reference to B and Sigma; drop it so the
     # rescale's copy of the shock does not stack on the posterior.
     del draws
-    if config.rescale is not None:
-        # Only the bands are written, so rescale a one-shock view instead of
-        # letting rescale_irf copy every shock's responses.
-        one = slice(shock, shock + 1)
-        rescaled = rescale_irf(
-            dataclasses.replace(
-                irfs, responses=irfs.responses[..., one], shocks=[shock_name],
-                lower=irfs.lower[..., one], median=irfs.median[..., one],
-                upper=irfs.upper[..., one],
-            ),
-            shock=0, target_variable=config.rescale.variable,
-            target_h=config.rescale.horizon, target_value=config.rescale.value,
+    if rescale is not None:
+        reported = rescale_irf(
+            reported, shock=0, target_variable=rescale.variable,
+            target_h=rescale.horizon, target_value=rescale.value,
         )
-        irfs.lower[..., one] = rescaled.lower
-        irfs.median[..., one] = rescaled.median
-        irfs.upper[..., one] = rescaled.upper
-        irfs.scale_note = rescaled.scale_note
+        bands[..., shock:shock + 1] = reported.lower, reported.median, reported.upper
+    # The writers read only the bands, so this set of every shock holds no draws.
+    lower, median, upper = bands
+    irfs = IrfSet(
+        responses=np.empty((0,) + bands.shape[1:]), horizons=reported.horizons,
+        variables=reported.variables, shocks=list(spec.order),
+        lower=lower, median=median, upper=upper, scale_note=reported.scale_note,
+    )
     paths = {"csv": out / "irf.csv", "json": out / "irf.json"}
     irf_to_csv(irfs, paths["csv"])
     irf_to_json(irfs, paths["json"])

@@ -20,7 +20,7 @@ from .errors import NumericalError
 from .panel import write_csv, write_json
 
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
-# Draws per block of the MA recursion in ``_ma_responses`` and per tile in
+# Draws per block of the MA recursion in ``_banded_responses`` and per tile in
 # which ``_percentile_bands`` copies a group of cells draws-last.
 _BAND_TILE = 512
 # Cells that ``_percentile_bands`` sorts at a time: its draws-last buffer is
@@ -132,31 +132,62 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
         raise
 
 
-def _ma_responses(
-    b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int
-) -> np.ndarray:
-    """Structural MA coefficients of every draw, (D, H+1, n, n), by the
-    recursion Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}.
-    A block of ``_BAND_TILE`` draws runs h = 1..H, one batched product of
-    the lag blocks [A_m ... A_1] (n x m*n) with the stacked
+def _banded_responses(
+    b: np.ndarray,
+    impact: np.ndarray,
+    spec: VarSpec,
+    horizon: int,
+    window: int,
+    keep: slice = slice(None),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Structural MA coefficients of every draw by the recursion
+    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, banded
+    ``window`` horizons at a time. Returns the 16/50/84 bands of
+    ``_percentile_bands``, (3, H+1, n, n), and the draws' responses to the
+    ``keep`` shocks, (D, H+1, n, shocks); with every shock kept and a
+    window of H+1 horizons those are the window itself.
+
+    A block of ``_BAND_TILE`` draws runs the window's horizons, one batched
+    product of the lag blocks [A_m ... A_1] (n x m*n) with the stacked
     [Theta_{h-m}; ...; Theta_{h-1}] (m*n x n) per step; no draw's values
-    depend on the block.
+    depend on the block or the window. A later window starts from the last
+    p horizons of the one before, which each block copies to its front.
     """
     lag_rows = spec.lag_rows(b)
     d, n, p = b.shape[0], impact.shape[1], spec.lags
-    out = np.empty((d, horizon + 1, n, n))
-    for start in range(0, d, _BAND_TILE):
-        block = out[start:start + _BAND_TILE]
-        size = block.shape[0]
-        # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
-        lags = lag_rows[start:start + size].reshape(size, p, n, n)
-        lagged = lags[:, ::-1].transpose(0, 3, 1, 2).reshape(size, n, p * n)
-        block[:, 0] = impact[start:start + size]
-        for h in range(1, horizon + 1):
-            m = min(h, p)
-            stacked = block[:, h - m: h].reshape(size, m * n, n)
-            np.matmul(lagged[:, :, (p - m) * n:], stacked, out=block[:, h])
-    return out
+    steps = horizon + 1
+    responses = np.empty((d, window, n, n))
+    bands = np.empty((len(BAND_PERCENTILES), steps, n, n))
+    if window == steps and keep == slice(None):
+        kept = responses
+    else:
+        kept = np.empty((d, steps) + responses[0, 0, :, keep].shape)
+    base = 0  # the horizon in the window's first slot
+    while True:
+        carry = p if base else 0
+        end = min(base + window, steps)
+        for start in range(0, d, _BAND_TILE):
+            tile = responses[start:start + _BAND_TILE]
+            size = tile.shape[0]
+            # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
+            lags = lag_rows[start:start + size].reshape(size, p, n, n)
+            lagged = lags[:, ::-1].transpose(0, 3, 1, 2).reshape(size, n, p * n)
+            if carry:
+                # one block at a time: a whole-window copy between two views
+                # of one buffer goes through a temporary of the full carry
+                tile[:, :p] = tile[:, window - p:]
+            else:
+                tile[:, 0] = impact[start:start + size]
+            for slot in range(max(carry, 1), end - base):
+                m = min(base + slot, p)
+                stacked = tile[:, slot - m: slot].reshape(size, m * n, n)
+                np.matmul(lagged[:, :, (p - m) * n:], stacked, out=tile[:, slot])
+            if kept is not responses:
+                kept[start:start + size, base + carry:end] = tile[:, carry:end - base, :, keep]
+        bands[:, base + carry:end] = _percentile_bands(responses[:, carry:end - base])
+        if end == steps:
+            return bands, kept
+        base = end - p
 
 
 def _percentile_bands(responses: np.ndarray) -> np.ndarray:
@@ -202,27 +233,63 @@ def _percentile_bands(responses: np.ndarray) -> np.ndarray:
     return bands.reshape((-1,) + cells)
 
 
+def _stacked(draws: PosteriorDraws | list[PosteriorDraw], horizon: int) -> PosteriorDraws:
+    """``draws`` stacked once, after the checks every band function makes."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if len(draws) < 2:
+        raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
+    return PosteriorDraws.stack(draws)
+
+
 def irf_bands(
     draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
 ) -> IrfSet:
     """Pointwise 16/50/84 percentile bands of the draw-wise responses.
 
     A list of ``PosteriorDraw`` is stacked once. The responses are computed
-    a block of draws at a time by ``_ma_responses``; they equal the per-draw
-    ``compute_irf`` up to rounding.
+    a block of draws at a time by ``_banded_responses``, in one window of
+    every horizon; they equal the per-draw ``compute_irf`` up to rounding.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if len(draws) < 2:
-        raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
-    draws = PosteriorDraws.stack(draws)
-    responses = _ma_responses(draws.B, _batched_impact(draws.Sigma), spec, horizon)
-    lower, median, upper = _percentile_bands(responses)
+    draws = _stacked(draws, horizon)
+    (lower, median, upper), responses = _banded_responses(
+        draws.B, _batched_impact(draws.Sigma), spec, horizon, horizon + 1
+    )
     return IrfSet(
         responses=responses,
         horizons=np.arange(horizon + 1),
         variables=list(spec.order),
         shocks=list(spec.order),
+        lower=lower,
+        median=median,
+        upper=upper,
+    )
+
+
+def shock_irf_bands(
+    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int, shock: int
+) -> tuple[np.ndarray, IrfSet]:
+    """The bands of ``irf_bands`` for every shock, (3, H+1, n, n) as
+    lower/median/upper, and an ``IrfSet`` of the one ``shock``: its draws'
+    responses (D, H+1, n, 1) and its bands. Both equal those of
+    ``irf_bands`` to the bit, but every shock's responses are never held
+    at once: they are banded a window of 2p horizons (at most H+1) at a
+    time, and only the shock's are kept.
+    """
+    draws = _stacked(draws, horizon)
+    if not 0 <= shock < len(spec.order):
+        raise ValueError(f"shock index {shock} out of range")
+    one = slice(shock, shock + 1)
+    bands, responses = _banded_responses(
+        draws.B, _batched_impact(draws.Sigma), spec, horizon,
+        min(2 * spec.lags, horizon + 1), one,
+    )
+    lower, median, upper = bands[..., one]
+    return bands, IrfSet(
+        responses=responses,
+        horizons=np.arange(horizon + 1),
+        variables=list(spec.order),
+        shocks=[spec.order[shock]],
         lower=lower,
         median=median,
         upper=upper,

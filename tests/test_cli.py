@@ -174,18 +174,24 @@ def estimate_var(tmp_path, n, draws, horizon, lags=1):
 
 
 class TestRescaleOneShock:
-    """The CLI rescales a one-shock view of the bands; its artifacts must be
-    those of the library's full ``rescale_irf``."""
+    """The CLI bands the responses a window of horizons at a time and
+    rescales only the reported shock's draws; its artifacts must be those of
+    the library's full ``irf_bands`` and ``rescale_irf``."""
 
     @pytest.fixture(scope="class")
     def estimated(self, tmp_path_factory):
+        # p=1: one window of the 7 horizons, in one tile of draws
         tmp_path = tmp_path_factory.mktemp("rescale")
         return tmp_path, estimate_var(tmp_path, n=3, draws=300, horizon=6)
 
-    @pytest.mark.parametrize("value", [0.7, -2.5])
-    @pytest.mark.parametrize("shock", [0, 1, 2])
-    def test_artifacts_equal_the_library_rescale(self, estimated, shock, value):
-        tmp_path, est = estimated
+    @pytest.fixture(scope="class")
+    def estimated_p4(self, tmp_path_factory):
+        # p=4: windows of 8 horizons (five for H=20) over three 512-draw tiles
+        tmp_path = tmp_path_factory.mktemp("rescale_p4")
+        return tmp_path, estimate_var(tmp_path, n=3, draws=1100, horizon=20, lags=4)
+
+    @staticmethod
+    def assert_library_rescale(tmp_path, est, shock, value):
         names, work = est["variables"], tmp_path / "work"
         rescale = {"variable": "v1", "horizon": 3, "value": value}
         cfg = write_yaml(
@@ -199,7 +205,8 @@ class TestRescaleOneShock:
             for name in ("coefficients", "covariances", "stable")
         ))
         irfs = rescale_irf(
-            irf_bands(draws, VarSpec(names, 1, True), est["horizon"]), shock, "v1", 3, value,
+            irf_bands(draws, VarSpec(names, est["lags"], True), est["horizon"]),
+            shock, "v1", 3, value,
         )
         assert "rescaled" in irfs.scale_note
         irf_to_csv(irfs, tmp_path / "want.csv")
@@ -207,13 +214,25 @@ class TestRescaleOneShock:
         assert (work / "irf.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (work / "irf.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
+    @pytest.mark.parametrize("value", [0.7, -2.5])
+    @pytest.mark.parametrize("shock", [0, 1, 2])
+    def test_artifacts_equal_the_library_rescale(self, estimated, shock, value):
+        self.assert_library_rescale(*estimated, shock, value)
+
+    @pytest.mark.parametrize("value", [0.7, -2.5])
+    @pytest.mark.parametrize("shock", [0, 2])
+    def test_artifacts_equal_the_library_rescale_across_windows(self, estimated_p4, shock, value):
+        self.assert_library_rescale(*estimated_p4, shock, value)
+
     def test_irf_holds_one_copy_of_the_responses(self, tmp_path):
         # tracemalloc counts numpy's buffers. With n=6 and 3000 draws the
         # responses take 18.1 MB; irf peaked at 2.27x that while the bands
         # sorted a draws-last copy of every cell and rescale_irf copied
         # every shock, at 1.38x with a small sort buffer and a one-shock
-        # rescale that still held the posterior, and at 1.28x once the
-        # posterior is let go before the rescale.
+        # rescale that still held the posterior, at 1.28x once the posterior
+        # is let go before the rescale, and at 0.51x once the responses are
+        # banded a window of 2p horizons at a time and only the reported
+        # shock's draws are kept.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
@@ -225,13 +244,14 @@ class TestRescaleOneShock:
         finally:
             tracemalloc.stop()
         responses = 3000 * 21 * 6 * 6 * 8
-        assert peak < 1.33 * responses, peak / responses
+        assert peak < 0.75 * responses, peak / responses
 
     def test_irf_peaks_no_higher_than_its_bands(self, tmp_path):
         # At p=4 the posterior (4.5 MB here) outweighs the one-shock
-        # rescale's copy (3 MB), so the step peaks at irf_bands only when
-        # the posterior is let go first; holding it, the run peaked at
-        # 1.12x the bands.
+        # rescale's copy (3 MB), so the step peaked at irf_bands (1.00x)
+        # only when the posterior was let go first; holding it, the run
+        # peaked at 1.12x the bands. Banding a window of 8 horizons at a
+        # time and keeping one shock's draws, it peaks at 0.68x.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20, lags=4)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
@@ -251,7 +271,7 @@ class TestRescaleOneShock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.02 * bands, peak / bands
+        assert peak < 0.85 * bands, peak / bands
 
 
 class TestPosteriorArtifact:
@@ -949,19 +969,35 @@ class TestConfigAndExitCodes:
         assert not (tmp_path / "work" / "panel.csv").exists()
 
     @pytest.mark.parametrize(
-        "extra", ["irf_shock: zz\n", "rescale: {variable: zz, horizon: 2, value: 1.0}\n"]
+        "extra",
+        [
+            "irf_shock: zz\n",
+            "rescale: {variable: zz, horizon: 2, value: 1.0}\n",
+            # before: exit 4, "numerical error: median response of ng to shock
+            # g at h=0 is zero; rescaling undefined"
+            "irf_shock: g\nrescale: {variable: ng, horizon: 0, value: 1.0}\n",
+        ],
     )
     def test_irf_membership_checked_before_bands(self, tmp_path, monkeypatch, capsys, extra):
-        # before: both were checked only after irf_bands had computed every band
+        # before: the names were checked only after irf_bands had computed every band
         run_pipeline(tmp_path)
         cfg = write_yaml(tmp_path / "bad.yaml", ESTIMATE_YAML + extra)
 
         def no_bands(*args, **kwargs):
-            raise AssertionError("irf_bands ran before the config checks")
+            raise AssertionError("shock_irf_bands ran before the config checks")
 
-        monkeypatch.setattr(cli, "irf_bands", no_bands)
+        monkeypatch.setattr(cli, "shock_irf_bands", no_bands)
         assert cli.main(["irf", "--config", cfg]) == 2
-        assert "'zz' not in the" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if "zz" in extra:
+            assert "'zz' not in the" in err
+        else:
+            # ng is ordered before g, so its impact response to g is zero in every draw
+            assert err.endswith(
+                "config error: rescale variable 'ng' is ordered before shock 'g' in "
+                "['ng', 'g'], so its response at h=0 is zero by the Cholesky ordering; "
+                "rescale at a later horizon or reorder the variables\n"
+            )
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = write_yaml(

@@ -24,6 +24,7 @@ from newsvar.structural import (
     decompose_residuals,
     irf_bands,
     rescale_irf,
+    shock_irf_bands,
     standardize_shock,
 )
 from newsvar.synth import Dgp, simulate_var, true_irf
@@ -286,6 +287,72 @@ class TestIrfBands:
         spec = VarSpec(order=["y"], lags=2, intercept=False)
         with pytest.raises(ValueError, match="expected"):
             irf_bands([ar1_draw(), ar1_draw()], spec, 3)
+
+
+def random_draws(d, n, lags, seed):
+    """``d`` draws of a VAR(``lags``) in n variables with an intercept: small
+    random coefficients and SPD covariances."""
+    rng = np.random.default_rng(seed)
+    spec = VarSpec([f"v{i}" for i in range(n)], lags, True)
+    mix = rng.normal(size=(d, n, n))
+    draws = PosteriorDraws(
+        B=rng.normal(scale=0.5 / np.sqrt(lags * n), size=(d, spec.k, n)),
+        Sigma=mix @ mix.transpose(0, 2, 1) + np.eye(n),
+        stable=np.ones(d, dtype=bool),
+    )
+    return spec, draws
+
+
+class TestShockIrfBands:
+    """shock_irf_bands computes the responses a window of 2p horizons at a
+    time and keeps one shock's; its bands and draws must be those of
+    irf_bands to the bit."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "lags,horizon",
+        [(p, h) for p in (1, 2, 4) for h in sorted({0, 1, 2 * p - 1, 2 * p, 20})],
+    )
+    def test_equals_irf_bands_to_the_bit(self, lags, horizon, n):
+        # Horizons inside one window, at its edge and across several; draw
+        # counts on both sides of the 512-draw tiles.
+        for d in (2, 511, 513, 1100):
+            spec, draws = random_draws(d, n, lags, seed=d + 10 * horizon + 1000 * lags + n)
+            full = irf_bands(draws, spec, horizon)
+            for shock in {0, n - 1}:
+                bands, one = shock_irf_bands(draws, spec, horizon, shock)
+                assert bands.tobytes() == np.stack([full.lower, full.median, full.upper]).tobytes()
+                assert one.responses.shape == (d, horizon + 1, n, 1)
+                assert one.responses.tobytes() == full.responses[..., shock:shock + 1].tobytes()
+                for name in ("lower", "median", "upper"):
+                    got, want = getattr(one, name), getattr(full, name)[..., shock:shock + 1]
+                    assert got.tobytes() == want.tobytes()
+                assert one.shocks == [spec.order[shock]]
+                assert one.variables == full.variables
+                assert_array_equal(one.horizons, full.horizons)
+
+    def test_holds_less_than_every_shocks_responses(self):
+        # n=6, p=2, 3000 draws, H=20: every shock's responses take 18.1 MB;
+        # a window of 4 horizons (3.5 MB), the kept shock (3 MB) and the
+        # sort buffer (2 MB) peaked at 0.53x that.
+        spec, draws = random_draws(3000, 6, 2, seed=0)
+        responses = 3000 * 21 * 6 * 6 * 8
+        tracemalloc.start()
+        try:
+            shock_irf_bands(draws, spec, 20, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * responses, peak / responses
+
+    def test_bad_arguments_rejected(self):
+        spec, draws = random_draws(4, 2, 1, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            shock_irf_bands(draws, spec, 3, 2)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            shock_irf_bands(draws, spec, -1, 0)
+        with pytest.raises(ValueError, match="at least 2"):
+            shock_irf_bands([draws[0]], spec, 3, 0)
 
 
 class TestBandCoverage:
