@@ -46,9 +46,9 @@ from .structural import (
     cholesky_rotate,
     compute_irf,
     decompose_residuals,
+    irf_band_summary,
     irf_bands,
     rescale_irf,
-    shock_irf_bands,
     standardize_shock,
 )
 from .synth import Dgp, simulate_var, true_irf
@@ -79,9 +79,9 @@ __all__ = [
     "ShockDecomposition",
     "cholesky_rotate",
     "compute_irf",
+    "irf_band_summary",
     "irf_bands",
     "rescale_irf",
-    "shock_irf_bands",
     "decompose_residuals",
     "standardize_shock",
     "LocalProjectionResult",

@@ -64,15 +64,14 @@ from .patentval import (
     write_index,
 )
 from .structural import (
-    IrfSet,
     decompose_residuals,
     decomposition_to_csv,
+    irf_band_summary,
     # cmd_irf does not call it, but perfbench's CLI_TABLE traces it by this name
     irf_bands,
     irf_to_csv,
     irf_to_json,
     rescale_irf,
-    shock_irf_bands,
     standardize_shock,
 )
 from .svgplot import line_band_svg
@@ -216,14 +215,31 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
+def _read_as_text(value) -> str:
+    """A hint for a finite number that YAML read as a string, like 1e-300:
+    PyYAML's YAML 1.1 floats need a dot and a signed exponent. Empty for
+    any other value."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return ""
+    if not isinstance(value, str) or not math.isfinite(number):
+        return ""
+    mantissa, e, exponent = repr(number).partition("e")
+    dotted = (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
+    return f"; YAML read it as text, so write it unquoted with a dot, as {dotted}"
+
+
 def _check(label: str, rules: dict, value) -> None:
     """ConfigError unless ``value`` is of its key's kind and within its rules."""
     kind = rules["kind"]
     test, what = _KINDS[kind]
     if not test(value):
         # the float kinds spell their key "prior tightness", not "prior.tightness"
-        spelled = label.replace(".", " ") if kind in ("positive", "nonzero") else label
-        raise ConfigError(f"{spelled} must be {what}, got {value!r}")
+        floats = kind in ("positive", "nonzero")
+        spelled = label.replace(".", " ") if floats else label
+        hint = _read_as_text(value) if floats else ""
+        raise ConfigError(f"{spelled} must be {what}, got {value!r}{hint}")
     least, choices = rules.get("least"), rules.get("choices")
     if least is not None and value < least:
         raise ConfigError(f"{label} must be >= {least}, got {value}")
@@ -532,23 +548,15 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
             f"in {spec.order}, so its response at h=0 is zero by the Cholesky ordering; "
             f"rescale at a later horizon or reorder the variables"
         )
-    bands, reported = shock_irf_bands(draws, spec, config.horizon, shock)
-    # This frame holds the last reference to B and Sigma; drop it so the
-    # rescale's copy of the shock does not stack on the posterior.
+    irfs = irf_band_summary(draws, spec, config.horizon)
+    # This frame holds the last reference to B and Sigma; drop it before the
+    # rescale and the writers, which read only the bands.
     del draws
     if rescale is not None:
-        reported = rescale_irf(
-            reported, shock=0, target_variable=rescale.variable,
+        irfs = rescale_irf(
+            irfs, shock=shock, target_variable=rescale.variable,
             target_h=rescale.horizon, target_value=rescale.value,
         )
-        bands[..., shock:shock + 1] = reported.lower, reported.median, reported.upper
-    # The writers read only the bands, so this set of every shock holds no draws.
-    lower, median, upper = bands
-    irfs = IrfSet(
-        responses=np.empty((0,) + bands.shape[1:]), horizons=reported.horizons,
-        variables=reported.variables, shocks=list(spec.order),
-        lower=lower, median=median, upper=upper, scale_note=reported.scale_note,
-    )
     paths = {"csv": out / "irf.csv", "json": out / "irf.json"}
     irf_to_csv(irfs, paths["csv"])
     irf_to_json(irfs, paths["json"])

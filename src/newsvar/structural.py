@@ -39,9 +39,10 @@ class ImpactMatrix:
 class IrfSet:
     """Posterior array of impulse responses with pointwise percentile bands.
 
-    ``responses`` has shape (draws, H+1, variables, shocks); the summary
-    arrays hold the 16/50/84 percentiles across draws, the central 68%
-    interval used as one-standard-deviation coverage bands.
+    ``responses`` has shape (draws, H+1, variables, shocks), and may hold
+    zero draws when only the bands are kept (``irf_band_summary``); the
+    summary arrays hold the 16/50/84 percentiles across draws, the central
+    68% interval used as one-standard-deviation coverage bands.
     """
 
     responses: np.ndarray
@@ -133,19 +134,14 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
 
 
 def _banded_responses(
-    b: np.ndarray,
-    impact: np.ndarray,
-    spec: VarSpec,
-    horizon: int,
-    window: int,
-    keep: slice = slice(None),
+    b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Structural MA coefficients of every draw by the recursion
     Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, banded
     ``window`` horizons at a time. Returns the 16/50/84 bands of
-    ``_percentile_bands``, (3, H+1, n, n), and the draws' responses to the
-    ``keep`` shocks, (D, H+1, n, shocks); with every shock kept and a
-    window of H+1 horizons those are the window itself.
+    ``_percentile_bands``, (3, H+1, n, n), and the (D, window, n, n) buffer
+    holding the last window's responses: with a window of H+1 horizons,
+    every response.
 
     A block of ``_BAND_TILE`` draws runs the window's horizons, one batched
     product of the lag blocks [A_m ... A_1] (n x m*n) with the stacked
@@ -158,10 +154,6 @@ def _banded_responses(
     steps = horizon + 1
     responses = np.empty((d, window, n, n))
     bands = np.empty((len(BAND_PERCENTILES), steps, n, n))
-    if window == steps and keep == slice(None):
-        kept = responses
-    else:
-        kept = np.empty((d, steps) + responses[0, 0, :, keep].shape)
     base = 0  # the horizon in the window's first slot
     while True:
         carry = p if base else 0
@@ -182,11 +174,9 @@ def _banded_responses(
                 m = min(base + slot, p)
                 stacked = tile[:, slot - m: slot].reshape(size, m * n, n)
                 np.matmul(lagged[:, :, (p - m) * n:], stacked, out=tile[:, slot])
-            if kept is not responses:
-                kept[start:start + size, base + carry:end] = tile[:, carry:end - base, :, keep]
         bands[:, base + carry:end] = _percentile_bands(responses[:, carry:end - base])
         if end == steps:
-            return bands, kept
+            return bands, responses
         base = end - p
 
 
@@ -233,15 +223,6 @@ def _percentile_bands(responses: np.ndarray) -> np.ndarray:
     return bands.reshape((-1,) + cells)
 
 
-def _stacked(draws: PosteriorDraws | list[PosteriorDraw], horizon: int) -> PosteriorDraws:
-    """``draws`` stacked once, after the checks every band function makes."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if len(draws) < 2:
-        raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
-    return PosteriorDraws.stack(draws)
-
-
 def irf_bands(
     draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
 ) -> IrfSet:
@@ -251,45 +232,41 @@ def irf_bands(
     a block of draws at a time by ``_banded_responses``, in one window of
     every horizon; they equal the per-draw ``compute_irf`` up to rounding.
     """
-    draws = _stacked(draws, horizon)
+    return _banded_irfs(draws, spec, horizon, keep_responses=True)
+
+
+def irf_band_summary(
+    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
+) -> IrfSet:
+    """The bands of ``irf_bands``, equal to the bit, in an ``IrfSet`` whose
+    ``responses`` hold zero draws, (0, H+1, n, n). Every shock's responses
+    are never held at once: they are banded a window of 2p horizons (at
+    most H+1) at a time, and no window is kept.
+    """
+    return _banded_irfs(draws, spec, horizon, keep_responses=False)
+
+
+def _banded_irfs(
+    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int,
+    keep_responses: bool,
+) -> IrfSet:
+    """``draws`` stacked once and banded by ``_banded_responses``, in one
+    window of every horizon when ``keep_responses``, else 2p at a time."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if len(draws) < 2:
+        raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
+    draws = PosteriorDraws.stack(draws)
+    steps = horizon + 1
     (lower, median, upper), responses = _banded_responses(
-        draws.B, _batched_impact(draws.Sigma), spec, horizon, horizon + 1
+        draws.B, _batched_impact(draws.Sigma), spec, horizon,
+        steps if keep_responses else min(2 * spec.lags, steps),
     )
     return IrfSet(
-        responses=responses,
-        horizons=np.arange(horizon + 1),
+        responses=responses if keep_responses else np.empty((0,) + lower.shape),
+        horizons=np.arange(steps),
         variables=list(spec.order),
         shocks=list(spec.order),
-        lower=lower,
-        median=median,
-        upper=upper,
-    )
-
-
-def shock_irf_bands(
-    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int, shock: int
-) -> tuple[np.ndarray, IrfSet]:
-    """The bands of ``irf_bands`` for every shock, (3, H+1, n, n) as
-    lower/median/upper, and an ``IrfSet`` of the one ``shock``: its draws'
-    responses (D, H+1, n, 1) and its bands. Both equal those of
-    ``irf_bands`` to the bit, but every shock's responses are never held
-    at once: they are banded a window of 2p horizons (at most H+1) at a
-    time, and only the shock's are kept.
-    """
-    draws = _stacked(draws, horizon)
-    if not 0 <= shock < len(spec.order):
-        raise ValueError(f"shock index {shock} out of range")
-    one = slice(shock, shock + 1)
-    bands, responses = _banded_responses(
-        draws.B, _batched_impact(draws.Sigma), spec, horizon,
-        min(2 * spec.lags, horizon + 1), one,
-    )
-    lower, median, upper = bands[..., one]
-    return bands, IrfSet(
-        responses=responses,
-        horizons=np.arange(horizon + 1),
-        variables=list(spec.order),
-        shocks=[spec.order[shock]],
         lower=lower,
         median=median,
         upper=upper,
@@ -305,7 +282,14 @@ def rescale_irf(
 ) -> IrfSet:
     """Multiply every response to one shock (all draws, variables, horizons)
     by the single factor that puts the median response of the target variable
-    at the target horizon exactly on the target value."""
+    at the target horizon exactly on the target value.
+
+    The bands are scaled, not recomputed from the scaled draws: numpy's
+    ``linear`` percentile commutes with a positive factor, and a negative
+    one swaps the 16th and 84th percentiles, whose interpolation indices
+    mirror each other. So ``responses`` may hold zero draws; when it holds
+    some, the scaled bands equal the bands of the scaled draws up to the
+    rounding of the interpolation."""
     if target_variable not in irfs.variables:
         raise ValueError(f"unknown variable {target_variable!r}")
     var_idx = irfs.variables.index(target_variable)
@@ -320,20 +304,21 @@ def rescale_irf(
             f"at h={target_h} is zero; rescaling undefined"
         )
     factor = float(target_value / current)
-    # one draw's shape, so the product runs over whole draws; x * 1.0 is
-    # exactly x, so the other shocks keep their bytes
-    scale = np.ones(irfs.responses.shape[1:])
+    # one draw's shape, which is the bands' too, so each product runs over
+    # whole draws or bands; x * 1.0 is exactly x, so the other shocks keep
+    # their bytes
+    scale = np.ones(irfs.median.shape)
     scale[..., shock] = factor
-    responses = irfs.responses * scale
-    bands = np.stack([irfs.lower, irfs.median, irfs.upper])
-    bands[..., shock] = _percentile_bands(responses[..., shock])
+    bands = np.stack([irfs.lower, irfs.median, irfs.upper]) * scale
+    if factor < 0:
+        bands[[0, 2], ..., shock] = bands[[2, 0], ..., shock]
     note = (
         f"{irfs.scale_note}; shock {irfs.shocks[shock]} rescaled by {factor!r} so the "
         f"median response of {target_variable} at h={target_h} equals {target_value}"
     )
     lower, median, upper = bands
     return replace(
-        irfs, responses=responses, horizons=irfs.horizons.copy(),
+        irfs, responses=irfs.responses * scale, horizons=irfs.horizons.copy(),
         variables=list(irfs.variables), shocks=list(irfs.shocks),
         lower=lower, median=median, upper=upper, scale_note=note,
     )

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +24,14 @@ from newsvar.structural import (
     cholesky_rotate,
     compute_irf,
     decompose_residuals,
+    irf_band_summary,
     irf_bands,
     rescale_irf,
-    shock_irf_bands,
     standardize_shock,
 )
 from newsvar.synth import Dgp, simulate_var, true_irf
+
+BANDS = ("lower", "median", "upper")
 
 
 class TestCholeskyRotate:
@@ -304,9 +308,9 @@ def random_draws(d, n, lags, seed):
 
 
 class TestShockIrfBands:
-    """shock_irf_bands computes the responses a window of 2p horizons at a
-    time and keeps one shock's; its bands and draws must be those of
-    irf_bands to the bit."""
+    """irf_band_summary, which replaced shock_irf_bands, bands the responses
+    a window of 2p horizons at a time and keeps none; its bands must be
+    those of irf_bands to the bit."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize(
@@ -319,40 +323,36 @@ class TestShockIrfBands:
         for d in (2, 511, 513, 1100):
             spec, draws = random_draws(d, n, lags, seed=d + 10 * horizon + 1000 * lags + n)
             full = irf_bands(draws, spec, horizon)
-            for shock in {0, n - 1}:
-                bands, one = shock_irf_bands(draws, spec, horizon, shock)
-                assert bands.tobytes() == np.stack([full.lower, full.median, full.upper]).tobytes()
-                assert one.responses.shape == (d, horizon + 1, n, 1)
-                assert one.responses.tobytes() == full.responses[..., shock:shock + 1].tobytes()
-                for name in ("lower", "median", "upper"):
-                    got, want = getattr(one, name), getattr(full, name)[..., shock:shock + 1]
-                    assert got.tobytes() == want.tobytes()
-                assert one.shocks == [spec.order[shock]]
-                assert one.variables == full.variables
-                assert_array_equal(one.horizons, full.horizons)
+            summary = irf_band_summary(draws, spec, horizon)
+            assert summary.responses.shape == (0, horizon + 1, n, n)
+            for band in BANDS:
+                assert getattr(summary, band).tobytes() == getattr(full, band).tobytes()
+            assert summary.shocks == full.shocks
+            assert summary.variables == full.variables
+            assert summary.scale_note == full.scale_note
+            assert_array_equal(summary.horizons, full.horizons)
 
     def test_holds_less_than_every_shocks_responses(self):
         # n=6, p=2, 3000 draws, H=20: every shock's responses take 18.1 MB;
         # a window of 4 horizons (3.5 MB), the kept shock (3 MB) and the
-        # sort buffer (2 MB) peaked at 0.53x that.
+        # sort buffer (2 MB) peaked at 0.53x that, and at 0.36x once no
+        # shock's draws are kept.
         spec, draws = random_draws(3000, 6, 2, seed=0)
         responses = 3000 * 21 * 6 * 6 * 8
         tracemalloc.start()
         try:
-            shock_irf_bands(draws, spec, 20, 5)
+            irf_band_summary(draws, spec, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * responses, peak / responses
+        assert peak < 0.45 * responses, peak / responses
 
     def test_bad_arguments_rejected(self):
         spec, draws = random_draws(4, 2, 1, seed=0)
-        with pytest.raises(ValueError, match="out of range"):
-            shock_irf_bands(draws, spec, 3, 2)
         with pytest.raises(ValueError, match="horizon must be >= 0"):
-            shock_irf_bands(draws, spec, -1, 0)
+            irf_band_summary(draws, spec, -1)
         with pytest.raises(ValueError, match="at least 2"):
-            shock_irf_bands([draws[0]], spec, 3, 0)
+            irf_band_summary([draws[0]], spec, 3)
 
 
 class TestBandCoverage:
@@ -462,6 +462,72 @@ class TestRescaleIrf:
             kept = getattr(irfs, band)[..., other]
             assert getattr(out, band)[..., other].tobytes() == kept.tobytes()
 
+    @pytest.mark.parametrize("factor", [0.7, -1.3])
+    @pytest.mark.parametrize("shock", [0, 1])
+    def test_bands_scale_by_the_factor_to_the_bit(self, shock, factor):
+        irfs = self.make_bands(seed=4)
+        current = irfs.median[6, 1, shock]
+        target = factor * current
+        out = rescale_irf(irfs, shock, "stock", 6, target)
+        scaled = [getattr(irfs, band)[..., shock] * (target / current) for band in BANDS]
+        if factor < 0:
+            # a negative factor mirrors the 16th and 84th percentiles
+            scaled.reverse()
+        for band, want in zip(BANDS, scaled):
+            assert getattr(out, band)[..., shock].tobytes() == want.tobytes()
+            other = getattr(irfs, band)[..., 1 - shock]
+            assert getattr(out, band)[..., 1 - shock].tobytes() == other.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 511, 513, 1100])
+    def test_bands_agree_with_numpy_percentile_of_the_scaled_draws(self, d):
+        # Each side interpolates the same two order statistics a, b of the
+        # scaled draws, with m = max(|a|, |b|). numpy's lerp takes b - a,
+        # a product by a weight of at most 1/2 and a sum; those three
+        # roundings are within 1.5 eps m. Scaling the lerp of the unscaled
+        # pair adds 0.5 eps m, as does rounding a and b when the draws are
+        # scaled first, so the two sides differ by at most 4 eps m. A
+        # negative factor also swaps the weights: the lower band of the
+        # scaled draws weighs the pair by g16, the scaled upper band by
+        # 1 - g84, where g_q is the fractional part of (d-1) q/100. Those
+        # differ by the rounding of the index (up to 2.8e-14 here), times
+        # |b - a|. The median's index mirrors itself. Measured over these
+        # draws: 18.2 eps m in all, 1.3 eps m less the weight term. The
+        # bound is on m, not on the band: a lerp across zero has a large
+        # relative error.
+        def weight(q):
+            index = (d - 1) * (q / 100)
+            return index - math.floor(index)
+
+        eps = np.finfo(float).eps
+        for n, lags in ((1, 1), (3, 2), (3, 4)):
+            spec, draws = random_draws(d, n, lags, seed=d + n + lags)
+            irfs = irf_bands(draws, spec, 12)
+            for shock in range(n):
+                current = irfs.median[3, n - 1, shock]
+                for factor in (0.7, -1.3, 1e-3, -250.0):
+                    out = rescale_irf(irfs, shock, spec.order[-1], 3, factor * current)
+                    scaled = out.responses[..., shock]
+                    ordered = np.sort(scaled, axis=0)
+                    want = np.percentile(scaled, BAND_PERCENTILES, axis=0)
+                    for band, q, expected in zip(BANDS, BAND_PERCENTILES, want):
+                        below = math.floor((d - 1) * (q / 100))
+                        a, b = ordered[below], ordered[below + 1]
+                        mirror = float(abs(Fraction(weight(q)) + Fraction(weight(100 - q)) - 1))
+                        gap = mirror if factor < 0 and q != 50 else 0.0
+                        bound = 4 * eps * np.maximum(abs(a), abs(b)) + gap * abs(b - a)
+                        got = getattr(out, band)[..., shock]
+                        assert np.all(abs(got - expected) <= bound), (n, lags, shock, factor, q)
+
+    def test_bands_only_set_is_rescaled(self):
+        # before: ValueError, cannot reshape array of size 0
+        spec, draws = random_draws(40, 2, 1, seed=3)
+        full = rescale_irf(irf_bands(draws, spec, 6), 1, "v0", 2, -0.4)
+        summary = rescale_irf(irf_band_summary(draws, spec, 6), 1, "v0", 2, -0.4)
+        assert summary.responses.shape == (0, 7, 2, 2)
+        for band in BANDS:
+            assert getattr(summary, band).tobytes() == getattr(full, band).tobytes()
+        assert summary.scale_note == full.scale_note
+
     def test_zero_median_rejected(self):
         irfs = self.make_bands()
         irfs.median[5, 0, 0] = 0.0
@@ -509,13 +575,6 @@ class TestPercentileBands:
         assert not x.flags.c_contiguous
         with np.errstate(invalid="ignore"):
             assert_array_equal(_percentile_bands(x), np.percentile(x, BAND_PERCENTILES, axis=0))
-
-    @pytest.mark.parametrize("target", [0.7, -1.3])
-    def test_rescaled_bands_equal_numpy_percentile(self, target):
-        irfs = TestRescaleIrf().make_bands(seed=4)
-        out = rescale_irf(irfs, 1, "stock", 6, target)
-        want = np.percentile(out.responses, BAND_PERCENTILES, axis=0)
-        assert_array_equal(np.stack([out.lower, out.median, out.upper]), want)
 
     @pytest.mark.parametrize("view", [False, True])
     def test_many_cells_span_groups(self, view):
