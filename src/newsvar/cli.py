@@ -215,19 +215,35 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _read_as_text(value) -> str:
+def _read_as_text(value, entry: str = "it") -> str:
     """A hint for a finite number that YAML read as a string, like 1e-300:
-    PyYAML's YAML 1.1 floats need a dot and a signed exponent. Empty for
-    any other value."""
+    PyYAML's YAML 1.1 floats need a dot and a signed exponent. The text
+    gets the dot it lacks when its exponent is signed; other text is
+    spelled by the number's repr. ``entry`` names the value. Empty for any
+    other value."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         return ""
     if not isinstance(value, str) or not math.isfinite(number):
         return ""
-    mantissa, e, exponent = repr(number).partition("e")
+    mantissa, e, exponent = value.strip().lower().partition("e")
+    if exponent[:1] not in ("+", "-"):
+        mantissa, e, exponent = repr(number).partition("e")
     dotted = (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
-    return f"; YAML read it as text, so write it unquoted with a dot, as {dotted}"
+    return f"; YAML read {entry} as text, so write it unquoted with a dot, as {dotted}"
+
+
+def _matrix_hint(label: str, value) -> str:
+    """The hint of ``_read_as_text`` for the first entry of a matrix that
+    YAML read as text, named by its indices; empty when there is none."""
+    for i, row in enumerate(value if isinstance(value, list) else []):
+        cells = enumerate(row) if isinstance(row, list) else [(None, row)]
+        for j, cell in cells:
+            hint = _read_as_text(cell, f"{label}[{i}]" + ("" if j is None else f"[{j}]"))
+            if hint:
+                return hint
+    return ""
 
 
 def _check(label: str, rules: dict, value) -> None:
@@ -239,6 +255,8 @@ def _check(label: str, rules: dict, value) -> None:
         floats = kind in ("positive", "nonzero")
         spelled = label.replace(".", " ") if floats else label
         hint = _read_as_text(value) if floats else ""
+        if kind == "matrix":
+            hint = _matrix_hint(label, value)
         raise ConfigError(f"{spelled} must be {what}, got {value!r}{hint}")
     least, choices = rules.get("least"), rules.get("choices")
     if least is not None and value < least:
@@ -469,13 +487,12 @@ def cmd_estimate(config: RunConfig, out: Path) -> dict[str, Path]:
     return paths
 
 
-def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDraws]:
-    """The posterior artifact in ``out``, refused when it was estimated under
-    another VAR spec or prior than ``config`` describes (the config's
-    ordering defaults to the stored one), has arrays that are missing or
-    disagree with ``posterior.json``, holds too few draws for bands, or holds
-    a non-finite coefficient or covariance. A ``posterior.json`` that is not
-    an object holding each field read here, of its kind, is a data error."""
+def _posterior_spec(out: Path, config: RunConfig) -> tuple[VarSpec, int]:
+    """The VAR spec and draw count of the posterior artifact in ``out``,
+    refused when it was estimated under another VAR spec or prior than
+    ``config`` describes (the config's ordering defaults to the stored one).
+    A ``posterior.json`` that is not an object holding each field read
+    here, of its kind, is a data error."""
     meta_path = out / "posterior.json"
     if not meta_path.exists():
         raise DataError(f"no posterior artifact in {out}; run the estimate command first")
@@ -507,11 +524,21 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
                 f"the posterior in {out} was estimated under a different {what} "
                 f"than this config; re-run estimate"
             )
+    return spec, meta["n_draws"]
+
+
+def _posterior_draws(out: Path, spec: VarSpec, n_draws: int) -> PosteriorDraws:
+    """The posterior arrays in ``out``, memory-mapped read-only, refused
+    when they are missing or disagree with the ``n_draws`` of
+    ``posterior.json``, hold too few draws for bands, or hold a non-finite
+    coefficient or covariance. Mapped pages leave no freed block in the
+    heap once the arrays are let go."""
+    paths = _posterior_paths(out).values()
     try:
-        draws = PosteriorDraws(*map(np.load, _posterior_paths(out).values()))
-    except (OSError, ValueError) as exc:
+        draws = PosteriorDraws(*(np.load(path, mmap_mode="r") for path in paths))
+    except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"unreadable posterior arrays in {out}: {exc}") from None
-    expected = (meta["n_draws"], spec.k, len(spec.order))
+    expected = (n_draws, spec.k, len(spec.order))
     if draws.B.shape != expected:
         raise DataError(
             f"posterior coefficients in {out} have shape {draws.B.shape} but "
@@ -519,9 +546,9 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
         )
     # after the shape check, so a count estimate cannot have written (0 or
     # negative) is damage, not a posterior too small for bands
-    if meta["n_draws"] < 2:
+    if n_draws < 2:
         raise ConfigError(
-            f"the posterior in {out} holds {meta['n_draws']} draw; bands need at "
+            f"the posterior in {out} holds {n_draws} draw; bands need at "
             f"least 2, so re-run estimate with --draws 2 or more"
         )
     finite = np.isfinite(draws.B).all(axis=(1, 2)) & np.isfinite(draws.Sigma).all(axis=(1, 2))
@@ -530,11 +557,11 @@ def _load_posterior(out: Path, config: RunConfig) -> tuple[VarSpec, PosteriorDra
             f"posterior draw {np.argmin(finite)} in {out} holds a non-finite "
             f"coefficient or covariance; re-run estimate"
         )
-    return spec, draws
+    return draws
 
 
 def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
-    spec, draws = _load_posterior(out, config)
+    spec, n_draws = _posterior_spec(out, config)
     if config.variables:
         _check_file_names(spec.order, ConfigError, "variables")
     else:
@@ -548,10 +575,9 @@ def cmd_irf(config: RunConfig, out: Path) -> dict[str, Path]:
             f"in {spec.order}, so its response at h=0 is zero by the Cholesky ordering; "
             f"rescale at a later horizon or reorder the variables"
         )
-    irfs = irf_band_summary(draws, spec, config.horizon)
-    # This frame holds the last reference to B and Sigma; drop it before the
-    # rescale and the writers, which read only the bands.
-    del draws
+    # The call holds the only reference to the posterior, so B and Sigma go
+    # once the bands have their lag operators and impacts.
+    irfs = irf_band_summary(_posterior_draws(out, spec, n_draws), spec, config.horizon)
     if rescale is not None:
         irfs = rescale_irf(
             irfs, shock=shock, target_variable=rescale.variable,
@@ -637,14 +663,16 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
             result = lp_irf_state(y, shock, dummy, config.horizon)
             result.dummy_name = f"after {config.lp.breakpoint}"
             shown, title = result.post, title + " (post regime)"
+        files = {kind: out / f"lp_{outcome}.{kind}" for kind in ("csv", "json", "svg")}
+        # the CSV first: its writer names the file and column of a
+        # non-finite number
+        lp_to_csv(result, files["csv"])
+        lp_to_json(result, files["json"], band_se=config.lp.band_se)
         band = config.lp.band_se * shown.se
         svg = line_band_svg(
             shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
             title=title, ylabel=outcome,
         )
-        files = {kind: out / f"lp_{outcome}.{kind}" for kind in ("csv", "json", "svg")}
-        lp_to_csv(result, files["csv"])
-        lp_to_json(result, files["json"], band_se=config.lp.band_se)
         files["svg"].write_text(svg, encoding="utf-8")
         paths.update((f"{kind}_{outcome}", path) for kind, path in files.items())
     paths["sample"] = out / "lp_sample.json"

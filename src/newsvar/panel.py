@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 TRANSFORMS = ("level", "log-level", "growth-rate")
 
@@ -83,11 +83,22 @@ def open_input(path, kind: str):
             raise DataError(f"{kind} file {path} is not valid UTF-8: {exc.reason}") from None
 
 
+def _non_finite(path, field: str, value) -> NumericalError:
+    return NumericalError(f"{path}: {field} holds {value!r}; an artifact holds finite numbers only")
+
+
 def write_csv(path, header, rows) -> None:
     """Write a CSV artifact: UTF-8, LF line ends, minimal quoting (a cell
     holding a comma, a quote or a line break is quoted, so such names read
     back), and each float as its ``repr``, which reads back to the same
-    double. ``header`` and each row are sequences of cells."""
+    double. ``header`` and each row are sequences of cells. A non-finite
+    float is a NumericalError naming its column and row, raised before the
+    file is opened."""
+    rows = list(rows)
+    for number, row in enumerate(rows, start=1):
+        for name, cell in zip(header, row):
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise _non_finite(path, f"column {name!r} of row {number}", cell)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         plain = csv.writer(fh, lineterminator="\n")
         # csv quotes only the line terminator's characters, so a lone
@@ -98,12 +109,34 @@ def write_csv(path, header, rows) -> None:
             (quoted if holds_cr else plain).writerow(row)
 
 
+def _first_non_finite(value, where: str):
+    """(path, value) of the first non-finite float in a JSON payload, or
+    None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(item, at) for at, item in items)), None)
+
+
 def write_json(payload, path) -> None:
     """Write a JSON artifact: UTF-8, sorted keys, one-space indent and a
-    trailing newline, so equal payloads give equal bytes."""
+    trailing newline, so equal payloads give equal bytes. A non-finite
+    float, which strict JSON cannot hold, is a NumericalError naming its
+    field, raised before the file is opened."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        found = _first_non_finite(payload, "")
+        if found is None:
+            raise
+        raise _non_finite(path, f"field {found[0]}", found[1]) from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, companion
+from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, _mapped_empty, companion
 from .errors import NumericalError
 from .panel import write_csv, write_json
 
@@ -134,25 +134,27 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
 
 
 def _banded_responses(
-    b: np.ndarray, impact: np.ndarray, spec: VarSpec, horizon: int, window: int
+    lagged: np.ndarray, impact: np.ndarray, p: int, horizon: int, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Structural MA coefficients of every draw by the recursion
     Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, banded
-    ``window`` horizons at a time. Returns the 16/50/84 bands of
+    ``window`` horizons at a time, from the lag operators and impacts of
+    ``_lag_operators_and_impacts``. Returns the 16/50/84 bands of
     ``_percentile_bands``, (3, H+1, n, n), and the (D, window, n, n) buffer
     holding the last window's responses: with a window of H+1 horizons,
     every response.
 
     A block of ``_BAND_TILE`` draws runs the window's horizons, one batched
-    product of the lag blocks [A_m ... A_1] (n x m*n) with the stacked
+    product of the lag operators [A_m ... A_1] (n x m*n) with the stacked
     [Theta_{h-m}; ...; Theta_{h-1}] (m*n x n) per step; no draw's values
     depend on the block or the window. A later window starts from the last
-    p horizons of the one before, which each block copies to its front.
+    p horizons of the one before, which each block moves to its front.
     """
-    lag_rows = spec.lag_rows(b)
-    d, n, p = b.shape[0], impact.shape[1], spec.lags
+    d, n = lagged.shape[:2]
     steps = horizon + 1
-    responses = np.empty((d, window, n, n))
+    per_draw, shift = window * n * n, (window - p) * n * n
+    flat = _mapped_empty((d * per_draw,))
+    responses = flat.reshape(d, window, n, n)
     bands = np.empty((len(BAND_PERCENTILES), steps, n, n))
     base = 0  # the horizon in the window's first slot
     while True:
@@ -161,19 +163,20 @@ def _banded_responses(
         for start in range(0, d, _BAND_TILE):
             tile = responses[start:start + _BAND_TILE]
             size = tile.shape[0]
-            # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
-            lags = lag_rows[start:start + size].reshape(size, p, n, n)
-            lagged = lags[:, ::-1].transpose(0, 3, 1, 2).reshape(size, n, p * n)
+            lags = lagged[start:start + size]
             if carry:
-                # one block at a time: a whole-window copy between two views
-                # of one buffer goes through a temporary of the full carry
-                tile[:, :p] = tile[:, window - p:]
+                # One overlapping 1-D move, which numpy makes without a
+                # temporary: each draw's last p horizons land at its front,
+                # and the slots after them take the next draw's values until
+                # this window overwrites them.
+                block = flat[start * per_draw:(start + size) * per_draw]
+                block[:-shift] = block[shift:]
             else:
                 tile[:, 0] = impact[start:start + size]
             for slot in range(max(carry, 1), end - base):
                 m = min(base + slot, p)
                 stacked = tile[:, slot - m: slot].reshape(size, m * n, n)
-                np.matmul(lagged[:, :, (p - m) * n:], stacked, out=tile[:, slot])
+                np.matmul(lags[:, :, (p - m) * n:], stacked, out=tile[:, slot])
         bands[:, base + carry:end] = _percentile_bands(responses[:, carry:end - base])
         if end == steps:
             return bands, responses
@@ -232,7 +235,9 @@ def irf_bands(
     a block of draws at a time by ``_banded_responses``, in one window of
     every horizon; they equal the per-draw ``compute_irf`` up to rounding.
     """
-    return _banded_irfs(draws, spec, horizon, keep_responses=True)
+    lagged, impact = _lag_operators_and_impacts(draws, spec, horizon)
+    bands, responses = _banded_responses(lagged, impact, spec.lags, horizon, horizon + 1)
+    return _irf_set(spec, bands, responses)
 
 
 def irf_band_summary(
@@ -240,31 +245,41 @@ def irf_band_summary(
 ) -> IrfSet:
     """The bands of ``irf_bands``, equal to the bit, in an ``IrfSet`` whose
     ``responses`` hold zero draws, (0, H+1, n, n). Every shock's responses
-    are never held at once: they are banded a window of 2p horizons (at
-    most H+1) at a time, and no window is kept.
+    are never held at once: they are banded a window of p+1 horizons (at
+    most H+1) at a time, and no window is kept. The posterior is let go
+    once its lag operators and impacts are gathered, so a caller that hands
+    over its only reference does not hold B and Sigma through the bands.
     """
-    return _banded_irfs(draws, spec, horizon, keep_responses=False)
+    lagged, impact = _lag_operators_and_impacts(draws, spec, horizon)
+    del draws
+    window = min(spec.lags + 1, horizon + 1)
+    bands, _ = _banded_responses(lagged, impact, spec.lags, horizon, window)
+    return _irf_set(spec, bands, np.empty((0,) + bands.shape[1:]))
 
 
-def _banded_irfs(
-    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int,
-    keep_responses: bool,
-) -> IrfSet:
-    """``draws`` stacked once and banded by ``_banded_responses``, in one
-    window of every horizon when ``keep_responses``, else 2p at a time."""
+def _lag_operators_and_impacts(
+    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lag operators [A_p ... A_1] (n x p*n) of every draw, gathered
+    once as (D, n, p*n), and the Cholesky factors of Sigma, from ``draws``
+    stacked once."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if len(draws) < 2:
         raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
     draws = PosteriorDraws.stack(draws)
-    steps = horizon + 1
-    (lower, median, upper), responses = _banded_responses(
-        draws.B, _batched_impact(draws.Sigma), spec, horizon,
-        steps if keep_responses else min(2 * spec.lags, steps),
-    )
+    impact = _batched_impact(draws.Sigma)
+    d, n, p = len(draws), len(spec.order), spec.lags
+    # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
+    lags = spec.lag_rows(draws.B).reshape(d, p, n, n)
+    return lags[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n), impact
+
+
+def _irf_set(spec: VarSpec, bands: np.ndarray, responses: np.ndarray) -> IrfSet:
+    lower, median, upper = bands
     return IrfSet(
-        responses=responses if keep_responses else np.empty((0,) + lower.shape),
-        horizons=np.arange(steps),
+        responses=responses,
+        horizons=np.arange(bands.shape[1]),
         variables=list(spec.order),
         shocks=list(spec.order),
         lower=lower,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 _WIDTH, _HEIGHT = 480, 320
 _MARGIN_LEFT, _MARGIN_RIGHT = 56, 12
 _MARGIN_TOP, _MARGIN_BOTTOM = 30, 36
@@ -46,7 +48,8 @@ def line_band_svg(
     ylabel: str = "",
 ) -> str:
     """SVG document with a shaded band (lower..upper), a center line, and a
-    dashed zero line over integer horizons."""
+    dashed zero line over integer horizons. A non-finite input is a
+    NumericalError naming the figure's title and the input."""
     h = np.asarray(horizons, dtype=float)
     c = np.asarray(center, dtype=float)
     lo = np.asarray(lower, dtype=float)
@@ -55,6 +58,13 @@ def line_band_svg(
         raise ValueError("horizons, center, lower, upper must share a shape")
     if h.size < 2:
         raise ValueError("need at least two horizons to plot")
+    for name, values in (("horizons", h), ("center", c), ("lower", lo), ("upper", up)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(
+                f"figure {title!r}: {name}[{bad[0]}] holds {float(values.flat[bad[0]])!r}; "
+                f"a figure needs finite values"
+            )
     # Imported here: the entity tables of ``html`` add about 0.5 MB to every
     # process that imports newsvar, and most never draw a figure.
     from html import escape

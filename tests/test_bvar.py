@@ -335,6 +335,30 @@ def reference_posterior_sample(fit, prior, spec, n_draws, seed):
     return PosteriorDraws.stack(draws)
 
 
+def whole_array_posterior_sample(fit, prior, n_draws, seed):
+    """The batched sampler's formula on whole arrays: every draw's Bartlett
+    factor, normals z and products at once, as ``posterior_sample`` formed
+    them before it worked a chunk of draws at a time."""
+    b_post, omega_post, s_post, nu_post = posterior_moments(fit, prior)
+    spec, n = fit.spec, len(fit.spec.order)
+    chol_row = np.linalg.cholesky(omega_post)
+    chol_scale = np.linalg.cholesky(s_post)
+    rows, cols = np.tril_indices(n, k=-1)
+    diag = np.arange(n)
+    offdiag_rng, chi2_rng, z_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    )
+    bartlett = np.zeros((n_draws, n, n))
+    bartlett[:, rows, cols] = offdiag_rng.standard_normal((n_draws, rows.size))
+    bartlett[:, diag, diag] = np.sqrt(chi2_rng.chisquare((nu_post - n + 1) + diag, (n_draws, n)))
+    z = z_rng.standard_normal((n_draws, spec.k, n))
+    chol_sigma_t = np.linalg.solve(bartlett.transpose(0, 2, 1), chol_scale.T)
+    sigma = chol_sigma_t.transpose(0, 2, 1) @ chol_sigma_t
+    b = b_post + np.matmul(chol_row, z) @ chol_sigma_t
+    stable = bvar._stable_flags(spec.lag_rows(b), n, spec.lags)
+    return PosteriorDraws(B=b, Sigma=sigma, stable=stable)
+
+
 def max_rel_gap(actual, expected):
     return float(np.abs(actual - expected).max() / np.abs(expected).max())
 
@@ -443,6 +467,22 @@ class TestBatchedSamplerOracle:
             for name in ("B", "Sigma", "stable")
         )
         assert got == digests
+
+    @pytest.mark.parametrize(
+        "n_draws",
+        [1, bvar._EIGVALS_CHUNK - 1, bvar._EIGVALS_CHUNK, 5 * bvar._EIGVALS_CHUNK // 2],
+    )
+    @pytest.mark.parametrize("kind", ["flat", "minnesota"])
+    def test_chunks_equal_the_whole_array_formula(self, n_draws, kind):
+        # the chi-square stream is drawn by rejection, so this also shows
+        # that splitting a generator's draws into chunks keeps its stream
+        fit, _ = persistent_var3_fit(lags=2)
+        got = posterior_sample(fit, PriorSpec(kind=kind), n_draws, seed=11)
+        want = whole_array_posterior_sample(fit, PriorSpec(kind=kind), n_draws, seed=11)
+        for name in ("B", "Sigma", "stable"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        if n_draws > 1:
+            assert not want.stable.all() and want.stable.any()
 
     @pytest.mark.parametrize("n_draws", [1, 3, 513])
     def test_prefix_stable_at_paper_layout(self, n_draws):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from newsvar.errors import DataError
+from newsvar import panel
+from newsvar.errors import DataError, NumericalError
 from newsvar.panel import (
     TimeSeriesPanel,
     align_range,
@@ -370,3 +371,34 @@ def test_invalid_panel_shapes_rejected():
         TimeSeriesPanel(
             dates=["1961Q1"], names=["a"], values=np.array([[np.nan]])
         )
+
+
+class TestArtifactWritersRefuseNonFinite:
+    """Every CSV and JSON artifact goes through write_csv or write_json; a
+    non-finite float is refused before the file is opened, so no partial
+    file is left. Before, inf went out as 'inf' in a CSV and as the token
+    Infinity, which strict JSON parsers refuse, in a JSON file."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_csv(self, tmp_path, bad):
+        path = tmp_path / "lp_ng.csv"
+        rows = [[0, 1.5, 0.25], [1, 2.0, bad]]
+        with pytest.raises(NumericalError, match=r"lp_ng.csv: column 'se' of row 2 holds"):
+            panel.write_csv(path, ["horizon", "beta", "se"], iter(rows))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("inf")])
+    def test_json(self, tmp_path, bad):
+        path = tmp_path / "lp_ng.json"
+        payload = {"beta": [0.5, 1.0], "se": [[0.1], [0.2, bad]], "note": "x"}
+        with pytest.raises(NumericalError, match=r"lp_ng.json: field se\[1\]\[1\] holds"):
+            panel.write_json(payload, path)
+        assert not path.exists()
+
+    def test_finite_payloads_keep_their_bytes(self, tmp_path):
+        panel.write_json({"b": [1.0, -0.0, 1e-300], "a": {"n": 3, "s": "t"}}, tmp_path / "x.json")
+        assert (tmp_path / "x.json").read_text(encoding="utf-8") == (
+            '{\n "a": {\n  "n": 3,\n  "s": "t"\n },\n "b": [\n  1.0,\n  -0.0,\n  1e-300\n ]\n}\n'
+        )
+        panel.write_csv(tmp_path / "x.csv", ["h", "v"], [[0, 0.1], [1, -2.5e-8]])
+        assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "h,v\n0,0.1\n1,-2.5e-08\n"

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from newsvar.errors import NumericalError
 from newsvar.svgplot import line_band_svg
 
 
@@ -49,3 +50,14 @@ def test_mismatched_shapes_rejected():
 def test_single_point_rejected():
     with pytest.raises(ValueError, match="two horizons"):
         line_band_svg([0], [1.0], [0.5], [1.5])
+
+
+@pytest.mark.parametrize("field", ["center", "lower", "upper"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_input_rejected(field, bad):
+    # before: inf or NaN drew a figure with NaN coordinates
+    h = np.arange(4)
+    series = {"center": h + 1.0, "lower": h + 0.5, "upper": h + 1.5}
+    series[field][2] = bad
+    with pytest.raises(NumericalError, match=rf"figure 'ng response': {field}\[2\] holds"):
+        line_band_svg(h, **series, title="ng response")
