@@ -17,12 +17,12 @@ discarded; series enter in log levels, so unit roots are admissible.
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import mapped
 from .errors import DataError, NumericalError
 from .panel import TimeSeriesPanel
 
@@ -50,14 +50,6 @@ _ROUND_UP = 1.0 + 2.0**-40
 # up to 2^-1075, and squares below 2^-511 lose their relative accuracy, so
 # a Frobenius norm can be short by up to (n*p) * 2^-537.
 _TINY = 2.0**-500
-
-# Where the platform offers it, ``_mapped_empty`` faults its pages in with
-# the map: 5 ms for 26 MB against 14 ms page by page on first touch
-# (2-core x86-64 VM, Linux 6.18).
-_MAP_FLAGS = (
-    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
-    if hasattr(mmap, "MAP_POPULATE") else {}
-)
 
 
 @dataclass
@@ -450,15 +442,6 @@ def _stable_flags(coefs: np.ndarray, n: int, p: int) -> np.ndarray:
     return flags
 
 
-def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array in an anonymous memory map of its own, so
-    its pages leave the process as soon as it is freed. A freed heap block
-    of the C allocator stays in the process while any later block sits
-    above it, and the next step's memory then stacks on top of it."""
-    pages = mmap.mmap(-1, 8 * math.prod(shape), **_MAP_FLAGS)
-    return np.frombuffer(pages, dtype=float).reshape(shape)
-
-
 def posterior_sample(
     fit: OlsFit, prior: PriorSpec, n_draws: int, seed: int
 ) -> PosteriorDraws:
@@ -474,7 +457,7 @@ def posterior_sample(
     BLAS threads; but draw i cannot be generated alone. The draws are
     formed and flagged ``_EIGVALS_CHUNK`` at a time, so no quantity of all
     draws is held but the returned arrays, whose B and Sigma are memory
-    maps of their own.
+    maps of their own (``mapped``).
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -495,8 +478,8 @@ def posterior_sample(
     diag = np.arange(n)
     streams = np.random.SeedSequence(seed).spawn(3)
     offdiag_rng, chi2_rng, z_rng = map(np.random.default_rng, streams)
-    b = _mapped_empty((n_draws, spec.k, n))
-    sigma = _mapped_empty((n_draws, n, n))
+    b = mapped.empty((n_draws, spec.k, n))
+    sigma = mapped.empty((n_draws, n, n))
     stable = np.empty(n_draws, dtype=bool)
     # One chunk of draws at a time: a generator's stream does not depend on
     # how its draws are split, and each draw keeps its own products.

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 import scipy
 import yaml
 
-from . import __version__
+from . import __version__, mapped
 from .bvar import (
     OlsFit,
     PosteriorDraws,
@@ -217,10 +218,10 @@ class RunConfig:
 
 def _read_as_text(value, entry: str = "it") -> str:
     """A hint for a finite number that YAML read as a string, like 1e-300:
-    PyYAML's YAML 1.1 floats need a dot and a signed exponent. The text
-    gets the dot it lacks when its exponent is signed; other text is
-    spelled by the number's repr. ``entry`` names the value. Empty for any
-    other value."""
+    PyYAML's YAML 1.1 floats need a dot and a signed exponent, and a digit
+    before the dot when signed. Text with a signed exponent whose mantissa
+    starts with a digit gets the dot it lacks; other text is spelled by the
+    number's repr. ``entry`` names the value. Empty for any other value."""
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -228,7 +229,7 @@ def _read_as_text(value, entry: str = "it") -> str:
     if not isinstance(value, str) or not math.isfinite(number):
         return ""
     mantissa, e, exponent = value.strip().lower().partition("e")
-    if exponent[:1] not in ("+", "-"):
+    if exponent[:1] not in ("+", "-") or not re.match("[-+]?[0-9]", mantissa):
         mantissa, e, exponent = repr(number).partition("e")
     dotted = (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
     return f"; YAML read {entry} as text, so write it unquoted with a dot, as {dotted}"
@@ -535,7 +536,7 @@ def _posterior_draws(out: Path, spec: VarSpec, n_draws: int) -> PosteriorDraws:
     heap once the arrays are let go."""
     paths = _posterior_paths(out).values()
     try:
-        draws = PosteriorDraws(*(np.load(path, mmap_mode="r") for path in paths))
+        draws = PosteriorDraws(*map(mapped.load, paths))
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"unreadable posterior arrays in {out}: {exc}") from None
     expected = (n_draws, spec.k, len(spec.order))
@@ -664,15 +665,19 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
             result.dummy_name = f"after {config.lp.breakpoint}"
             shown, title = result.post, title + " (post regime)"
         files = {kind: out / f"lp_{outcome}.{kind}" for kind in ("csv", "json", "svg")}
-        # the CSV first: its writer names the file and column of a
-        # non-finite number
-        lp_to_csv(result, files["csv"])
-        lp_to_json(result, files["json"], band_se=config.lp.band_se)
+        # The figure is drawn, and the JSON, which holds every number of the
+        # CSV, written first, so a non-finite number leaves none of the
+        # three files behind.
         band = config.lp.band_se * shown.se
-        svg = line_band_svg(
-            shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
-            title=title, ylabel=outcome,
-        )
+        try:
+            svg = line_band_svg(
+                shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
+                title=title, ylabel=outcome,
+            )
+        except NumericalError as exc:
+            raise NumericalError(f"{files['svg']}: {exc}") from None
+        lp_to_json(result, files["json"], band_se=config.lp.band_se)
+        lp_to_csv(result, files["csv"])
         files["svg"].write_text(svg, encoding="utf-8")
         paths.update((f"{kind}_{outcome}", path) for kind, path in files.items())
     paths["sample"] = out / "lp_sample.json"

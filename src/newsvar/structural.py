@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, _mapped_empty, companion
+from . import mapped
+from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, companion
 from .errors import NumericalError
 from .panel import write_csv, write_json
 
@@ -134,15 +135,16 @@ def _batched_impact(sigma: np.ndarray) -> np.ndarray:
 
 
 def _banded_responses(
-    lagged: np.ndarray, impact: np.ndarray, p: int, horizon: int, window: int
-) -> tuple[np.ndarray, np.ndarray]:
+    tile_lags, impact: np.ndarray, p: int, horizon: int, responses: np.ndarray
+) -> np.ndarray:
     """Structural MA coefficients of every draw by the recursion
-    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, banded
-    ``window`` horizons at a time, from the lag operators and impacts of
-    ``_lag_operators_and_impacts``. Returns the 16/50/84 bands of
-    ``_percentile_bands``, (3, H+1, n, n), and the (D, window, n, n) buffer
-    holding the last window's responses: with a window of H+1 horizons,
-    every response.
+    Theta_0 = L, Theta_h = sum_{l <= min(h, p)} A_l Theta_{h-l}, computed
+    into the C-contiguous (D, window, n, n) ``responses`` and banded a
+    window of horizons at a time. ``tile_lags(tile)`` gives the lag
+    operators [A_p ... A_1] (n x p*n) of a slice of draws, as
+    ``_lag_operators``. Returns the 16/50/84 bands of ``_percentile_bands``,
+    (3, H+1, n, n); ``responses`` then holds the last window's responses:
+    with a window of H+1 horizons, every response.
 
     A block of ``_BAND_TILE`` draws runs the window's horizons, one batched
     product of the lag operators [A_m ... A_1] (n x m*n) with the stacked
@@ -150,11 +152,10 @@ def _banded_responses(
     depend on the block or the window. A later window starts from the last
     p horizons of the one before, which each block moves to its front.
     """
-    d, n = lagged.shape[:2]
+    d, window, n = responses.shape[:3]
     steps = horizon + 1
     per_draw, shift = window * n * n, (window - p) * n * n
-    flat = _mapped_empty((d * per_draw,))
-    responses = flat.reshape(d, window, n, n)
+    flat = responses.reshape(-1)
     bands = np.empty((len(BAND_PERCENTILES), steps, n, n))
     base = 0  # the horizon in the window's first slot
     while True:
@@ -163,7 +164,7 @@ def _banded_responses(
         for start in range(0, d, _BAND_TILE):
             tile = responses[start:start + _BAND_TILE]
             size = tile.shape[0]
-            lags = lagged[start:start + size]
+            lags = tile_lags(slice(start, start + size))
             if carry:
                 # One overlapping 1-D move, which numpy makes without a
                 # temporary: each draw's last p horizons land at its front,
@@ -179,7 +180,7 @@ def _banded_responses(
                 np.matmul(lags[:, :, (p - m) * n:], stacked, out=tile[:, slot])
         bands[:, base + carry:end] = _percentile_bands(responses[:, carry:end - base])
         if end == steps:
-            return bands, responses
+            return bands
         base = end - p
 
 
@@ -233,10 +234,16 @@ def irf_bands(
 
     A list of ``PosteriorDraw`` is stacked once. The responses are computed
     a block of draws at a time by ``_banded_responses``, in one window of
-    every horizon; they equal the per-draw ``compute_irf`` up to rounding.
+    every horizon, each block gathering its own lag operators; they equal
+    the per-draw ``compute_irf`` up to rounding.
     """
-    lagged, impact = _lag_operators_and_impacts(draws, spec, horizon)
-    bands, responses = _banded_responses(lagged, impact, spec.lags, horizon, horizon + 1)
+    draws = _stacked(draws, horizon)
+    n = len(spec.order)
+    impact = _batched_impact(draws.Sigma)
+    responses = np.empty((len(draws), horizon + 1, n, n))
+    bands = _banded_responses(
+        lambda tile: _lag_operators(draws.B[tile], spec), impact, spec.lags, horizon, responses
+    )
     return _irf_set(spec, bands, responses)
 
 
@@ -246,33 +253,41 @@ def irf_band_summary(
     """The bands of ``irf_bands``, equal to the bit, in an ``IrfSet`` whose
     ``responses`` hold zero draws, (0, H+1, n, n). Every shock's responses
     are never held at once: they are banded a window of p+1 horizons (at
-    most H+1) at a time, and no window is kept. The posterior is let go
-    once its lag operators and impacts are gathered, so a caller that hands
-    over its only reference does not hold B and Sigma through the bands.
+    most H+1) at a time, and no window is kept. The lag operators of every
+    draw are gathered once and the posterior is then let go, so a caller
+    that hands over its only reference does not hold B and Sigma through
+    the bands.
     """
-    lagged, impact = _lag_operators_and_impacts(draws, spec, horizon)
+    draws = _stacked(draws, horizon)
+    n = len(spec.order)
+    impact = _batched_impact(draws.Sigma)
+    lagged = _lag_operators(draws.B, spec)
     del draws
     window = min(spec.lags + 1, horizon + 1)
-    bands, _ = _banded_responses(lagged, impact, spec.lags, horizon, window)
+    responses = mapped.empty((len(lagged), window, n, n))
+    bands = _banded_responses(lagged.__getitem__, impact, spec.lags, horizon, responses)
     return _irf_set(spec, bands, np.empty((0,) + bands.shape[1:]))
 
 
-def _lag_operators_and_impacts(
-    draws: PosteriorDraws | list[PosteriorDraw], spec: VarSpec, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lag operators [A_p ... A_1] (n x p*n) of every draw, gathered
-    once as (D, n, p*n), and the Cholesky factors of Sigma, from ``draws``
-    stacked once."""
+def _stacked(
+    draws: PosteriorDraws | list[PosteriorDraw], horizon: int
+) -> PosteriorDraws:
+    """``draws`` stacked once, refused for a negative horizon or fewer than
+    two draws."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if len(draws) < 2:
         raise ValueError(f"need at least 2 draws for bands, got {len(draws)}")
-    draws = PosteriorDraws.stack(draws)
-    impact = _batched_impact(draws.Sigma)
-    d, n, p = len(draws), len(spec.order), spec.lags
+    return PosteriorDraws.stack(draws)
+
+
+def _lag_operators(b: np.ndarray, spec: VarSpec) -> np.ndarray:
+    """The lag operators [A_p ... A_1] (n x p*n) of each draw of ``b``, as
+    one (D, n, p*n) array."""
+    d, n, p = b.shape[0], len(spec.order), spec.lags
     # Block l of the coefficient rows is A_l'; reorder to [A_p ... A_1].
-    lags = spec.lag_rows(draws.B).reshape(d, p, n, n)
-    return lags[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n), impact
+    lags = spec.lag_rows(b).reshape(d, p, n, n)
+    return lags[:, ::-1].transpose(0, 3, 1, 2).reshape(d, n, p * n)
 
 
 def _irf_set(spec: VarSpec, bands: np.ndarray, responses: np.ndarray) -> IrfSet:

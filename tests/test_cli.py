@@ -13,7 +13,7 @@ import yaml
 from numpy.testing import assert_array_equal
 
 import newsvar
-from newsvar import cli, structural
+from newsvar import cli, mapped, structural
 from newsvar.bvar import PosteriorDraws, VarSpec, posterior_sample
 from newsvar.panel import load_panel
 from newsvar.patentval import filter_value
@@ -174,32 +174,6 @@ def estimate_var(tmp_path, n, draws, horizon, lags=1):
     return est
 
 
-def mapped_posterior_bytes(tmp_path):
-    """B and Sigma in ``work``: irf maps them from their files, so
-    tracemalloc does not see them, and adding them to its peak counts them
-    as resident through the whole step."""
-    return sum(
-        np.load(tmp_path / "work" / f"posterior_{name}.npy", mmap_mode="r").nbytes
-        for name in ("coefficients", "covariances")
-    )
-
-
-@pytest.fixture
-def mapped_windows(monkeypatch):
-    """The sizes of the response windows the bands map outside
-    tracemalloc's sight, in the order they are made."""
-    sizes = []
-    real = structural._mapped_empty
-
-    def counted(shape):
-        window = real(shape)
-        sizes.append(window.nbytes)
-        return window
-
-    monkeypatch.setattr(structural, "_mapped_empty", counted)
-    return sizes
-
-
 class TestRescaleOneShock:
     """The CLI bands the responses a window of horizons at a time, keeps no
     draws and rescales the reported shock's bands; its artifacts must be
@@ -272,7 +246,7 @@ class TestRescaleOneShock:
         signs = np.signbit(bands[:, zeros])
         assert (signs == signs[0]).all(), signs
 
-    def test_irf_holds_one_copy_of_the_responses(self, tmp_path, mapped_windows):
+    def test_irf_holds_one_copy_of_the_responses(self, tmp_path):
         # tracemalloc counts numpy's buffers. With n=6 and 3000 draws the
         # responses take 18.1 MB; irf peaked at 2.27x that while the bands
         # sorted a draws-last copy of every cell and rescale_irf copied
@@ -285,21 +259,22 @@ class TestRescaleOneShock:
         # the only reference to the posterior, let it go after gathering the
         # lag operators and band windows of p+1 horizons. The posterior is
         # now mapped from its files, and the window mapped too, out of
-        # tracemalloc's sight; counted as resident through the whole step
-        # (1.9 and 1.7 MB), the peak is 0.34x.
+        # tracemalloc's sight; adding the most the maps held at once (B and
+        # Sigma, 2.8 MB) to tracemalloc's peak bounds the step's at 0.30x.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
         config = cli.load_config(cfg)
+        mapped.reset_peak()
         tracemalloc.start()
         try:
             cli.run(config, "irf")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peak += mapped_posterior_bytes(tmp_path) + sum(mapped_windows)
+        peak += mapped.peak_bytes()
         responses = 3000 * 21 * 6 * 6 * 8
-        assert peak < 0.37 * responses, peak / responses
+        assert peak < 0.33 * responses, peak / responses
 
     def test_irf_bands_without_the_posterior(self, tmp_path, monkeypatch):
         # before: cmd_irf held B and Sigma until irf_band_summary returned
@@ -331,15 +306,18 @@ class TestRescaleOneShock:
         est = estimate_var(tmp_path, n=3, draws=20000, horizon=4, lags=2)
         config = cli.load_config(write_yaml(tmp_path / "again.yaml", yaml.safe_dump(est)))
         posterior = 20000 * (7 * 3 + 3 * 3) * 8
+        mapped.reset_peak()
         tracemalloc.start()
         try:
             cli.run(config, "estimate")
-            peak = tracemalloc.get_traced_memory()[1] + posterior
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert mapped.peak_bytes() == posterior
+        peak += posterior
         assert peak < 1.5 * posterior, peak / posterior
 
-    def test_irf_peaks_no_higher_than_its_bands(self, tmp_path, mapped_windows):
+    def test_irf_peaks_no_higher_than_its_bands(self, tmp_path):
         # At p=4 the posterior (4.5 MB here) outweighs the one-shock
         # rescale's copy (3 MB), so the step peaked at irf_bands (1.00x)
         # only when the posterior was let go first; holding it, the run
@@ -347,9 +325,10 @@ class TestRescaleOneShock:
         # time and keeping one shock's draws, it peaked at 0.68x; keeping
         # no draws and scaling the bands, at 0.57x; letting the posterior go
         # once the lag operators are gathered, with windows of 5 horizons,
-        # at 0.37x. The posterior is now mapped from its files, and both
-        # steps' windows are mapped too, out of tracemalloc's sight; counted
-        # as resident through the whole step, the peak is 0.52x.
+        # at 0.37x. The posterior is now mapped from its files, and the
+        # window mapped too, out of tracemalloc's sight; adding the most
+        # the maps held at once (B and Sigma, 4.5 MB) to tracemalloc's peak
+        # bounds the step's at 0.42x.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20, lags=4)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
@@ -362,15 +341,16 @@ class TestRescaleOneShock:
                 for name in ("coefficients", "covariances", "stable")
             ))
             irf_bands(draws, spec, 20)
-            bands = tracemalloc.get_traced_memory()[1] + mapped_windows.pop()
+            bands = tracemalloc.get_traced_memory()[1]
             del draws
             tracemalloc.reset_peak()
+            mapped.reset_peak()
             cli.run(config, "irf")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peak += mapped_posterior_bytes(tmp_path) + sum(mapped_windows)
-        assert peak < 0.56 * bands, peak / bands
+        peak += mapped.peak_bytes()
+        assert peak < 0.47 * bands, peak / bands
 
 
 class TestPosteriorArtifact:
@@ -789,10 +769,11 @@ lp:
         assert "lp band_se must be a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "lpout").exists()
 
-    def test_overflowing_outcome_is_numerical_error(self, tmp_path):
-        # The README demo's ng scaled by 1e200 overflows the HAC sum, so se
-        # is inf. before: exit 0, with se = inf in lp_ng.csv, the token
-        # Infinity (not JSON) in lp_ng.json and NaN coordinates in lp_ng.svg
+    @staticmethod
+    def run_scaled_demo(tmp_path, factor, config=""):
+        """``lp`` on the README demo with ng scaled by ``factor`` and
+        ``config`` appended to its run.yaml (inside its closing ``lp`` block); no ``lp_*`` file is there
+        before the run."""
         src = Path(newsvar.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run(
@@ -804,20 +785,39 @@ lp:
             rows = list(csv.reader(fh))
         column = rows[0].index("ng")
         for row in rows[1:]:
-            row[column] = repr(float(row[column]) * 1e200)
+            row[column] = repr(float(row[column]) * factor)
         with open(tmp_path / "panel.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
+        with open(tmp_path / "run.yaml", "a", encoding="utf-8") as fh:
+            fh.write(config)
         for path in tmp_path.glob("lp_*"):
             path.unlink()
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "newsvar.cli", "lp", "--config", str(tmp_path / "run.yaml")],
             capture_output=True, text=True, env=env,
         )
+
+    def test_overflowing_outcome_is_numerical_error(self, tmp_path):
+        # The README demo's ng scaled by 1e200 overflows the HAC sum, so se
+        # is inf. before: exit 0, with se = inf in lp_ng.csv, the token
+        # Infinity (not JSON) in lp_ng.json and NaN coordinates in lp_ng.svg.
+        # The figure is drawn before any file is written, so it names the
+        # band that se = inf leaves.
+        result = self.run_scaled_demo(tmp_path, 1e200)
         assert result.returncode == 4, result.stderr
         assert result.stderr.splitlines()[-1] == (
-            f"numerical error: {tmp_path / 'lp_ng.csv'}: column 'se' of row 1 holds inf; "
-            f"an artifact holds finite numbers only"
+            f"numerical error: {tmp_path / 'lp_ng.svg'}: figure 'ng response to "
+            f"idiosyncratic_std': lower[0] holds -inf; a figure needs finite values"
         )
+        assert not list(tmp_path.glob("lp_*"))
+
+    def test_overflowing_band_leaves_no_artifact(self, tmp_path):
+        # ng x1e100 keeps beta and se finite, and band_se = 1e300 makes the
+        # band overflow. before: lp_ng.csv and lp_ng.json were written and
+        # the figure then refused, leaving them without lp_ng.svg
+        result = self.run_scaled_demo(tmp_path, 1e100, "  band_se: 1.0e+300\n")
+        assert result.returncode == 4, result.stderr
+        assert "lp_ng.svg: figure 'ng response to idiosyncratic_std'" in result.stderr
         assert not list(tmp_path.glob("lp_*"))
 
 
@@ -1361,8 +1361,13 @@ class TestConfigAndExitCodes:
                 "irf", "horizon: 8", "horizon: 8\nrescale: {variable: g, horizon: 2, value: -2e3}",
                 "rescale value", "-2000.0",
             ),
+            (
+                # a signed YAML 1.1 float needs a digit before its dot
+                "irf", "horizon: 8", "horizon: 8\nrescale: {variable: g, horizon: 2, value: -.5e-1}",
+                "rescale value", "-0.05",
+            ),
         ],
-        ids=["prior.tightness", "rescale.value"],
+        ids=["prior.tightness", "rescale.value", "rescale.value-no-leading-digit"],
     )
     def test_number_read_as_text_is_named(self, tmp_path, capsys, command, old, new, key, dotted):
         # PyYAML's YAML 1.1 resolver reads a float without a dot as a string.
@@ -1382,6 +1387,7 @@ class TestConfigAndExitCodes:
             ("[[0.0], [5e-1]]", "[[0.0], ['5e-1']]", "dgp.coefficients[1][0]", "5.0e-1"),
             ("[[0.0], [1, 2e-1]]", "[[0.0], [1, '2e-1']]", "dgp.coefficients[1][1]", "2.0e-1"),
             ("[0.0, 5E+1]", "[0.0, '5E+1']", "dgp.coefficients[1]", "5.0e+1"),
+            ("[[0.0], [-.5e-1]]", "[[0.0], ['-.5e-1']]", "dgp.coefficients[1][0]", "-0.05"),
         ],
     )
     def test_matrix_entry_read_as_text_is_named(
