@@ -519,7 +519,7 @@ def fresh_python(code: str) -> str:
 
 @pytest.mark.parametrize("module", ["newsvar", "newsvar.cli"])
 def test_cli_import_leaves_scipy_special_unloaded(module):
-    # only the index command's valuation needs it (patentval._mills_ratio)
+    # no command needs it: patentval values patents with its own erfcx
     probe = (
         f"import sys, {module}; "
         "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"
@@ -528,6 +528,8 @@ def test_cli_import_leaves_scipy_special_unloaded(module):
 
 
 def test_deferred_special_import_gives_the_same_values():
+    # a fresh interpreter values without scipy.special, and its values equal
+    # those of this process, where the tests have loaded scipy.special;
     # strongly negative returns are where erfcx, not a naive phi/Phi, matters
     returns = [-0.5, -0.2, -0.08, -0.03, -0.004, 0.0, 1e-3, 0.01, 0.07, 0.3]
     probe = (
@@ -539,6 +541,27 @@ def test_deferred_special_import_gives_the_same_values():
     fresh = fresh_python(probe)
     in_process = filter_value(returns, 0.02, 0.01, 3e9).tolist()
     assert fresh == str([v.hex() for v in in_process])
+
+
+def test_index_run_leaves_scipy_special_unloaded(tmp_path):
+    # with sigma_v = sigma_e = 0.02 these returns reach every branch of
+    # patentval._erfcx: both depths of the continued fraction (-3, -0.2),
+    # the Taylor centre, the reflection (0.2) and its inf (1.5)
+    returns = [-3.0, -0.2, -0.01, 0.0, 0.004, 0.2, 1.5]
+    with open(tmp_path / "events.csv", "w", encoding="utf-8") as fh:
+        fh.write("grant_date,firm_id,green,window_return,market_cap\n")
+        for i, ret in enumerate(returns * 4):
+            day = np.datetime64("2000-01-01") + np.timedelta64(13 * i, "D")
+            fh.write(f"{day},firm{i},{i % 2},{ret!r},1e9\n")
+    cfg = write_yaml(tmp_path / "run.yaml", INDEX_YAML)
+    probe = (
+        "import sys\n"
+        "from newsvar import cli\n"
+        f"assert cli.main(['index', '--config', {cfg!r}]) == 0\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    assert fresh_python(probe).splitlines()[-1] == "False"
+    assert (tmp_path / "work" / "index.csv").exists()
 
 
 class TestDecompose:
