@@ -316,6 +316,8 @@ def _prior_moments(fit: OlsFit, prior: PriorSpec):
     for lag, block in enumerate(spec.lag_rows(omega).reshape(p, n, n), start=1):
         for j in range(n):
             block[j] = (prior.tightness / lag) ** 2 / scales[j] ** 2
+    if np.any(omega < np.finfo(float).tiny):
+        raise ValueError("prior tightness is too small: a prior variance underflows")
     precision = np.diag(1.0 / omega[:, 0])
     nu0 = float(prior.nu0) if prior.nu0 is not None else n + 2.0
     if nu0 < n + 2:

@@ -216,49 +216,14 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _read_as_text(value, entry: str = "it") -> str:
-    """A hint for a finite number that YAML read as a string, like 1e-300:
-    PyYAML's YAML 1.1 floats need a dot and a signed exponent, and a digit
-    before the dot when signed. Text with a signed exponent whose mantissa
-    starts with a digit gets the dot it lacks; other text is spelled by the
-    number's repr. ``entry`` names the value. Empty for any other value."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        return ""
-    if not isinstance(value, str) or not math.isfinite(number):
-        return ""
-    mantissa, e, exponent = value.strip().lower().partition("e")
-    if exponent[:1] not in ("+", "-") or not re.match("[-+]?[0-9]", mantissa):
-        mantissa, e, exponent = repr(number).partition("e")
-    dotted = (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
-    return f"; YAML read {entry} as text, so write it unquoted with a dot, as {dotted}"
-
-
-def _matrix_hint(label: str, value) -> str:
-    """The hint of ``_read_as_text`` for the first entry of a matrix that
-    YAML read as text, named by its indices; empty when there is none."""
-    for i, row in enumerate(value if isinstance(value, list) else []):
-        cells = enumerate(row) if isinstance(row, list) else [(None, row)]
-        for j, cell in cells:
-            hint = _read_as_text(cell, f"{label}[{i}]" + ("" if j is None else f"[{j}]"))
-            if hint:
-                return hint
-    return ""
-
-
 def _check(label: str, rules: dict, value) -> None:
     """ConfigError unless ``value`` is of its key's kind and within its rules."""
     kind = rules["kind"]
     test, what = _KINDS[kind]
     if not test(value):
         # the float kinds spell their key "prior tightness", not "prior.tightness"
-        floats = kind in ("positive", "nonzero")
-        spelled = label.replace(".", " ") if floats else label
-        hint = _read_as_text(value) if floats else ""
-        if kind == "matrix":
-            hint = _matrix_hint(label, value)
-        raise ConfigError(f"{spelled} must be {what}, got {value!r}{hint}")
+        spelled = label.replace(".", " ") if kind in ("positive", "nonzero") else label
+        raise ConfigError(f"{spelled} must be {what}, got {value!r}")
     least, choices = rules.get("least"), rules.get("choices")
     if least is not None and value < least:
         raise ConfigError(f"{label} must be >= {least}, got {value}")
@@ -311,19 +276,44 @@ def _walk(config, block: str = "", reads=COMMANDS):
                 yield from _walk(value, f"{block}{f.name}.", rules["reads"])
 
 
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's C parser where PyYAML has it, plus the
+    exponent floats of YAML 1.2 that YAML 1.1 reads as strings (1e-300,
+    -.5e-1, 1.0e3), and a ConfigError for a key written twice in one
+    mapping; a key merged in by ``<<`` may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = set()
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in keys:
+                    line = key_node.start_mark.line + 1
+                    raise ConfigError(f"key {key!r} repeated on line {line}")
+                keys.add(key)
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a YAML run configuration and check every key it gives against
     the key table; relative paths resolve against the config file's
-    directory."""
+    directory. A number with an exponent, like 1e-300, reads as JSON and
+    YAML 1.2 read it, a key repeated in one mapping is refused, and a name
+    that reads as a number ('1e3', like '123' or '1.5') must be quoted."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        # libyaml's C parser with the safe resolver: the values of
-        # yaml.safe_load without parsing the DGP matrices in Python
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:
@@ -690,7 +680,10 @@ def cmd_index(config: RunConfig, out: Path) -> dict[str, Path]:
     events = load_events(config.index.events)
     if not events:
         raise DataError(f"no events in {config.index.events}")
-    valued = assign_values(events, config.index.sigma_v, config.index.sigma_e)
+    try:
+        valued = assign_values(events, config.index.sigma_v, config.index.sigma_e)
+    except ValueError as exc:  # load_events checked the events, so it is sigma_v
+        raise ConfigError(f"index {exc}") from exc
     start = config.index.start or quarter_of(valued.grant_date.min().item())
     end = config.index.end or quarter_of(valued.grant_date.max().item())
     idx = build_index(valued, start, end)

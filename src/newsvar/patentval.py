@@ -294,7 +294,8 @@ def filter_value(window_return, sigma_v, sigma_e, market_cap):
     operations, whatever the other elements are (squares are products,
     and the Mills ratio is this module's ``_erfcx``), so an array element
     equals the scalar call on that element to the last bit. A non-finite
-    argument, or a sigma or market_cap <= 0, raises ValueError naming it.
+    argument, a sigma or market_cap <= 0, or a sigma_v whose square is
+    below the smallest normal double, raises ValueError naming it.
     """
     r, sv, se, cap = (
         np.asarray(x, dtype=float) for x in (window_return, sigma_v, sigma_e, market_cap)
@@ -307,6 +308,8 @@ def filter_value(window_return, sigma_v, sigma_e, market_cap):
     if np.any(cap <= 0):
         raise ValueError("market_cap must be > 0")
     var_v = sv * sv
+    if np.any(var_v < np.finfo(float).tiny):
+        raise ValueError("sigma_v is too small: its square underflows")
     delta = var_v / (var_v + se * se)
     s = np.sqrt(delta) * se
     mean = delta * r

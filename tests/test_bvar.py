@@ -484,6 +484,13 @@ class TestBatchedSamplerOracle:
         if n_draws > 1:
             assert not want.stable.all() and want.stable.any()
 
+    @pytest.mark.parametrize("tightness", [1e-300, 1e-160])
+    def test_underflowing_prior_variance_is_named(self, tightness):
+        # before: a divide-by-zero warning, then "Matrix is not positive definite"
+        prior = PriorSpec(kind="minnesota", tightness=tightness)
+        with pytest.raises(ValueError, match="^prior tightness is too small"):
+            posterior_sample(diagonal_var_fit(), prior, 2, seed=0)
+
     @pytest.mark.parametrize("n_draws", [1, 3, 513])
     def test_prefix_stable_at_paper_layout(self, n_draws):
         # before: draw 0's B moved by 5.6e-17 between 1 and 1000 draws

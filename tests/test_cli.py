@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -904,6 +905,20 @@ index:
         assert cli.main(["index", "--config", cfg]) == 3
         assert "data error: row 6: sigma_e must be > 0" in capsys.readouterr().err
 
+    def test_underflowing_sigma_v_is_config_error(self, tmp_path, capsys):
+        # before: exit 3, "event for firm0 on 1995-02-23 has no value; run
+        # assign_values first", the filter having returned nan
+        cfg = self.index_config(tmp_path)
+        Path(cfg).write_text(
+            Path(cfg).read_text(encoding="utf-8").replace("sigma_v: 0.02", "sigma_v: 1.0e-200"),
+            encoding="utf-8",
+        )
+        assert cli.main(["index", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: index sigma_v is too small: its square underflows\n"
+        )
+        assert not (tmp_path / "idxout").exists()
+
     def test_invalid_utf8_events_file_is_data_error(self, tmp_path, capsys):
         # before: exit 4, "numerical error: 'utf-8' codec can't decode byte 0xff"
         cfg = self.index_config(tmp_path)
@@ -1097,7 +1112,9 @@ class TestConfigAndExitCodes:
     )
     def test_names_with_outer_whitespace_are_config_error(self, tmp_path, capsys, extra):
         # before: load_panel strips header names, so these never match a panel
-        cfg = write_yaml(tmp_path / "c.yaml", ESTIMATE_YAML + extra)
+        cfg = write_yaml(
+            tmp_path / "c.yaml", ESTIMATE_YAML.replace("variables: [ng, g]\n", "") + extra
+        )
         assert cli.main(["estimate", "--config", cfg]) == 2
         assert "leading or trailing whitespace" in capsys.readouterr().err
 
@@ -1393,16 +1410,26 @@ class TestConfigAndExitCodes:
         ids=["prior.tightness", "rescale.value", "rescale.value-no-leading-digit"],
     )
     def test_number_read_as_text_is_named(self, tmp_path, capsys, command, old, new, key, dotted):
-        # PyYAML's YAML 1.1 resolver reads a float without a dot as a string.
-        # before: "prior tightness must be a finite number > 0, got '1e-300'",
-        # as if the number itself were refused
-        cfg = write_yaml(tmp_path / "c.yaml", ESTIMATE_YAML.replace(old, new))
-        assert cli.main([command, "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert f"{key} must be a finite" in err
-        assert err.endswith(f"; YAML read it as text, so write it unquoted with a dot, as {dotted}\n")
+        # YAML 1.1 reads these spellings as text, and before, the float key
+        # refused them with "YAML read it as text, so write it unquoted with
+        # a dot"; the config loader reads them as YAML 1.2 and JSON do. A
+        # tightness of 1e-300 is then refused as too small, as 1.0e-300 is.
+        given = ESTIMATE_YAML.replace(old, new)
+        number = new.rsplit(" ", 1)[1].rstrip("}")
+        assert isinstance(yaml.safe_load(f"x: {number}")["x"], str)
         assert isinstance(yaml.safe_load(f"x: {dotted}")["x"], float)
-        assert not (tmp_path / "work").exists()
+        steps = ["estimate", "irf"][: 1 + (command == "irf")]
+        runs = [
+            spelled_run(tmp_path, capsys, text, steps)
+            for text in (given, given.replace(number, dotted))
+        ]
+        assert runs[0] == runs[1]
+        codes, err, files = runs[0]
+        if key == "prior tightness":
+            assert codes == [4]
+            assert err.startswith("numerical error: prior tightness is too small: ")
+        else:
+            assert codes == [0, 0] and "irf.csv" in files
 
     @pytest.mark.parametrize(
         "coefficients, got, entry, dotted",
@@ -1416,19 +1443,95 @@ class TestConfigAndExitCodes:
     def test_matrix_entry_read_as_text_is_named(
         self, tmp_path, capsys, coefficients, got, entry, dotted
     ):
-        # before: "dgp.coefficients must be a list of rows of finite numbers,
-        # got [[0.0], ['5e-1']]", naming neither the entry nor a spelling
+        # YAML 1.1 reads the entry as text (got); before, simulate refused it
+        # naming the entry and the dotted spelling. Now the matrix holds the
+        # number: a ragged or explosive matrix is refused as with the dotted
+        # spelling, and the others simulate the same panel byte for byte.
+        assert yaml.safe_load(coefficients) == yaml.safe_load(got), entry
+        given = f"out: work\ndgp: {{coefficients: {coefficients}, impact: [[1.0]], periods: 50}}\n"
+        number = got.split("'")[1]
+        runs = [
+            spelled_run(tmp_path, capsys, text, ["simulate"])
+            for text in (given, given.replace(number, dotted))
+        ]
+        assert runs[0] == runs[1]
+        codes, err, files = runs[0]
+        if dotted in ("5.0e-1", "-0.05"):
+            assert codes == [0] and "panel.csv" in files
+        else:  # a ragged row, or a companion spectral radius of 50
+            assert codes == [2] and err.startswith("config error: bad dgp block: ")
+
+    def test_json_exponent_is_a_number(self, tmp_path, capsys):
+        # before: exit 2, "got [[0.0], ['2e-07']]", for a config json.dumps wrote
+        dgp = {"coefficients": [[0.0], [2e-07]], "impact": [[1.0]], "periods": 50}
+        given = json.dumps({"out": "work", "dgp": dgp})
+        assert "[2e-07]" in given
+        runs = [
+            spelled_run(tmp_path, capsys, text, ["simulate"])
+            for text in (given, given.replace("2e-07", "2.0e-07"))
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [0] and "panel.csv" in runs[0][2]
+
+    def test_name_that_reads_as_a_number_must_be_quoted(self, tmp_path, capsys):
+        # irf_shock: 1e3 was the string '1e3'; it is now the number 1000.0
+        cfg = write_yaml(tmp_path / "c.yaml", ESTIMATE_YAML + "irf_shock: 1e3\n")
+        assert cli.main(["irf", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: irf_shock must be a string, got 1000.0\n"
+        cfg = write_yaml(tmp_path / "c.yaml", ESTIMATE_YAML + "irf_shock: '1e3'\n")
+        assert cli.load_config(cfg).irf_shock == "1e3"
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("out: work\nseed: 1\nseed: 2\n", "seed", 3),
+            (
+                "out: work\nprior:\n  kind: minnesota\n  tightness: 0.1\n  tightness: 0.2\n",
+                "tightness",
+                5,
+            ),
+            ("out: work\nprior: {kind: flat, kind: minnesota}\n", "kind", 2),
+            ("out: work\n'seed': 1\nseed: 2\n", "seed", 3),
+        ],
+        ids=["top-level", "block", "flow", "quoted"],
+    )
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, text, key, line):
+        # before: exit 0, the last value silently taking the key
+        fixture = SIMULATE_YAML.lstrip().replace("out: work\nseed: 3\n", text)
+        cfg = write_yaml(tmp_path / "c.yaml", fixture)
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: key {key!r} repeated on line {line}\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_set_tag_on_a_scalar_is_invalid_yaml(self, tmp_path, capsys):
+        # the loader's repeated-key check sees only mapping nodes
+        cfg = write_yaml(tmp_path / "c.yaml", "out: !!set 3\n")
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        assert "invalid YAML" in capsys.readouterr().err
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "c.yaml",
-            f"out: work\ndgp: {{coefficients: {coefficients}, impact: [[1.0]], periods: 50}}\n",
+            "prior: {<<: {kind: minnesota, tightness: 0.1}, tightness: 0.3}\n"
+            "rescale:\n  <<: [{variable: a, value: 2.0}, {variable: b}]\n  variable: c\n",
         )
-        assert cli.main(["simulate", "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: dgp.coefficients must be a list of rows of finite numbers, "
-            f"got {got}; YAML read {entry} as text, so write it unquoted with a dot, as {dotted}\n"
-        )
-        assert isinstance(yaml.safe_load(f"x: {dotted}")["x"], float)
-        assert not (tmp_path / "work").exists()
+        config = cli.load_config(cfg)
+        assert (config.prior.kind, config.prior.tightness) == ("minnesota", 0.3)
+        assert (config.rescale.variable, config.rescale.value) == ("c", 2.0)
+
+
+def spelled_run(tmp_path, capsys, text, commands):
+    """(exit codes, error output, artifacts by name) of ``commands`` run on
+    the config ``text`` in a fresh ``tmp_path/work``, the estimate and irf
+    commands after simulating their panel."""
+    shutil.rmtree(tmp_path / "work", ignore_errors=True)
+    if "estimate" in commands:
+        sim_cfg = write_yaml(tmp_path / "sim.yaml", SIMULATE_YAML)
+        assert cli.main(["simulate", "--config", sim_cfg]) == 0
+    cfg = write_yaml(tmp_path / "c.yaml", text)
+    codes = [cli.main([command, "--config", cfg]) for command in commands]
+    files = sorted((tmp_path / "work").glob("*"))
+    return codes, capsys.readouterr().err, {path.name: path.read_bytes() for path in files}
 
 
 def canonical(value):
@@ -1493,6 +1596,35 @@ def test_libyaml_loader_matches_safe_load(text):
     pure = yaml.load(text, Loader=yaml.SafeLoader)
     fast = yaml.load(text, Loader=yaml.CSafeLoader)
     assert canonical(fast) == canonical(pure)
+
+
+def config_loader_on(base):
+    """The config loader's own members, its resolvers and construct_mapping,
+    on ``base``."""
+    members = {k: v for k, v in vars(cli._ConfigLoader).items() if not k.startswith("__")}
+    return type(f"ConfigLoaderOn{base.__name__}", (base,), members)
+
+
+# JSON's exponent spellings, and YAML 1.2's -.5e-1 and 5E+1
+EXPONENTS_JSON = '{"dgp": {"coefficients": [[1e-05, 1e+16], [-.5e-1, 5E+1]], "periods": 5}}\n'
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(text, id=name) for name, text in yaml_fixtures().items()]
+    + [pytest.param(EXPONENTS_JSON, id="json-exponents")],
+)
+def test_config_loader_matches_on_both_bases(text):
+    pure = yaml.load(text, Loader=config_loader_on(yaml.SafeLoader))
+    fast = yaml.load(text, Loader=config_loader_on(yaml.CSafeLoader))
+    assert canonical(fast) == canonical(pure)
+    assert canonical(yaml.load(text, Loader=cli._ConfigLoader)) == canonical(pure)
+    if text == EXPONENTS_JSON:
+        assert pure["dgp"]["coefficients"] == [[1e-05, 1e16], [-0.05, 50.0]]
+    else:
+        # the fixtures spell no number that YAML 1.1 reads as text
+        assert canonical(pure) == canonical(yaml.safe_load(text))
 
 
 class TestDeterminism:

@@ -126,6 +126,24 @@ class TestFilterValue:
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 filter_value(*args)
 
+    @pytest.mark.parametrize("sigma_v", [1e-200, 1e-160, 1.4e-154])
+    def test_underflowing_sigma_v_is_named(self, sigma_v):
+        # before: 1e-200 gave nan with a RuntimeWarning, and 1e-160
+        # 7.97880e-161 against about 7.97885e-161
+        for args in ((0.01, sigma_v), (np.full(3, 0.01), np.array([0.02, sigma_v, 0.02]))):
+            with pytest.raises(ValueError, match="^sigma_v is too small: its square underflows$"):
+                filter_value(*args, 0.02, 1.0)
+
+    def test_smallest_sigma_v_with_a_normal_square(self):
+        sigma_v = np.nextafter(np.sqrt(np.finfo(float).tiny), 1.0)
+        assert sigma_v * sigma_v >= np.finfo(float).tiny
+        got = filter_value(0.01, sigma_v, 0.02, 1.0)
+        # delta = (sigma_v/sigma_e)^2 to double precision, and the value is
+        # delta*r plus s*phi(z)/Phi(z) with z = sqrt(delta)*r/sigma_e ~ 0
+        delta = (sigma_v / 0.02) ** 2
+        want = delta * 0.01 + np.sqrt(delta) * 0.02 * np.sqrt(2 / np.pi)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 def event(day, firm="acme", green=False, ret=0.01, cap=1e9, value=None):
     return PatentEvent(
