@@ -22,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mapped
 from .errors import DataError, NumericalError
 from .panel import TimeSeriesPanel
 
 # Relative tolerance on singular values below which X is treated as singular.
 _RANK_RTOL = 1e-10
 
-# Draws per chunk of ``posterior_sample`` and companion matrices per block of
-# the stability pass; bounds the stacked companions, and each power squared
-# from them, at 1024 x (n*p)^2 doubles (8 MB for n*p = 32).
+# Draws per chunk of ``posterior_sample``, which flags each chunk as it is
+# formed.
 _EIGVALS_CHUNK = 1024
 
 # Squarings tried before the eigenvalue fallback: powers C^2, C^4, ..., C^256.
@@ -431,16 +429,13 @@ def _certified_flags(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _stable_flags(coefs: np.ndarray, n: int, p: int) -> np.ndarray:
     """Companion spectral radius < 1 for each of the stacked lag blocks
-    ``coefs`` (D, n*p, n), in fixed-size chunks. A flag the bounds on
+    ``coefs`` (D, n*p, n), all companions at once. A flag the bounds on
     repeated squares certify is proven, not estimated; batched eigenvalues
     decide the rest, exactly as when they decided every draw."""
-    flags = np.empty(coefs.shape[0], dtype=bool)
-    for start in range(0, coefs.shape[0], _EIGVALS_CHUNK):
-        comp = _companion_from_blocks(coefs[start: start + _EIGVALS_CHUNK], n, p)
-        chunk, undecided = _certified_flags(comp)
-        if undecided.any():
-            chunk[undecided] = _radius_below_one(comp[undecided])
-        flags[start: start + comp.shape[0]] = chunk
+    comp = _companion_from_blocks(coefs, n, p)
+    flags, undecided = _certified_flags(comp)
+    if undecided.any():
+        flags[undecided] = _radius_below_one(comp[undecided])
     return flags
 
 
@@ -458,8 +453,7 @@ def posterior_sample(
     per seed, prefix-stable in n_draws and independent of chunking and of
     BLAS threads; but draw i cannot be generated alone. The draws are
     formed and flagged ``_EIGVALS_CHUNK`` at a time, so no quantity of all
-    draws is held but the returned arrays, whose B and Sigma are memory
-    maps of their own (``mapped``).
+    draws is held but the returned arrays.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
@@ -480,8 +474,8 @@ def posterior_sample(
     diag = np.arange(n)
     streams = np.random.SeedSequence(seed).spawn(3)
     offdiag_rng, chi2_rng, z_rng = map(np.random.default_rng, streams)
-    b = mapped.empty((n_draws, spec.k, n))
-    sigma = mapped.empty((n_draws, n, n))
+    b = np.empty((n_draws, spec.k, n))
+    sigma = np.empty((n_draws, n, n))
     stable = np.empty(n_draws, dtype=bool)
     # One chunk of draws at a time: a generator's stream does not depend on
     # how its draws are split, and each draw keeps its own products.
@@ -497,5 +491,8 @@ def posterior_sample(
         sigma[chunk] = chol_sigma_t.transpose(0, 2, 1) @ chol_sigma_t
         z = z_rng.standard_normal((size, spec.k, n))
         b[chunk] = b_post + np.matmul(chol_row, z) @ chol_sigma_t
+        # One chunk's companions bound the stability pass's stacked arrays,
+        # and each power squared from them, at 1024 x (n*p)^2 doubles (8 MB
+        # for n*p = 32).
         stable[chunk] = _stable_flags(spec.lag_rows(b[chunk]), n, spec.lags)
     return PosteriorDraws(B=b, Sigma=sigma, stable=stable)

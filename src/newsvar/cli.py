@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -30,7 +31,7 @@ import numpy as np
 import scipy
 import yaml
 
-from . import __version__, mapped
+from . import __version__
 from .bvar import (
     OlsFit,
     PosteriorDraws,
@@ -439,7 +440,13 @@ def _fit(config: RunConfig, panel: TimeSeriesPanel, command: str) -> OlsFit:
     _check_ordering(config, command, order)
     spec = VarSpec(order, config.lags, config.intercept)
     y, x = build_regressors(panel, spec)
-    return ols_estimate(y, x, spec)
+    try:
+        return ols_estimate(y, x, spec)
+    except NumericalError as exc:  # only the rank check, on an X made of the data
+        raise DataError(
+            f"{exc}; the regressors built from {config.data} are collinear, "
+            f"as when a column is constant or copies another"
+        ) from None
 
 
 def _posterior_paths(out: Path) -> dict[str, Path]:
@@ -522,11 +529,10 @@ def _posterior_draws(out: Path, spec: VarSpec, n_draws: int) -> PosteriorDraws:
     """The posterior arrays in ``out``, memory-mapped read-only, refused
     when they are missing or disagree with the ``n_draws`` of
     ``posterior.json``, hold too few draws for bands, or hold a non-finite
-    coefficient or covariance. Mapped pages leave no freed block in the
-    heap once the arrays are let go."""
+    coefficient or covariance."""
     paths = _posterior_paths(out).values()
     try:
-        draws = PosteriorDraws(*map(mapped.load, paths))
+        draws = PosteriorDraws(*(np.load(path, mmap_mode="r") for path in paths))
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"unreadable posterior arrays in {out}: {exc}") from None
     expected = (n_draws, spec.k, len(spec.order))
@@ -658,7 +664,8 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
         # The figure is drawn, and the JSON, which holds every number of the
         # CSV, written first, so a non-finite number leaves none of the
         # three files behind.
-        band = config.lp.band_se * shown.se
+        with np.errstate(over="ignore"):  # the figure refuses an inf band
+            band = config.lp.band_se * shown.se
         try:
             svg = line_band_svg(
                 shown.horizons, shown.beta, shown.beta - band, shown.beta + band,
@@ -738,6 +745,11 @@ _DISPATCH = dict(
     zip(COMMANDS, (cmd_estimate, cmd_irf, cmd_decompose, cmd_lp, cmd_index, cmd_simulate))
 )
 
+# glibc keeps a freed block in the process while a later block sits above it
+# in the heap, so one command's freed arrays would stay under the next one's;
+# malloc_trim hands them back to the OS. A libc without it is left alone.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+
 
 def run(config: RunConfig, command: str) -> dict[str, Path]:
     """Execute one command; returns the artifact paths it wrote."""
@@ -766,6 +778,9 @@ def run(config: RunConfig, command: str) -> dict[str, Path]:
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
         raise
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
     return paths
 
 

@@ -204,7 +204,10 @@ def _project(y, shock, regimes, horizon: int) -> list[LocalProjectionResult]:
             u /= ss
             if not pooled:
                 scores[rows, r] = u
-        se[:, h] = np.sqrt(_hac(scores, h + 1).diagonal())
+        # an overflowed HAC sum makes se inf, which the CLI's figure and
+        # writers refuse, naming the file
+        with np.errstate(over="ignore"):
+            se[:, h] = np.sqrt(_hac(scores, h + 1).diagonal())
     return [
         LocalProjectionResult(np.arange(horizon + 1), *fields)
         for fields in zip(alpha, beta, se, n_obs)

@@ -225,15 +225,21 @@ def _erfcx_centre(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erfcx_fraction(x: np.ndarray) -> np.ndarray:
-    """erfcx(x) for x >= _ERFCX_EDGE by Laplace's continued fraction
-    1/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))), evaluated from
-    its _ERFCX_FRACTION-th term up."""
+def _erfcx_tail(x: np.ndarray) -> np.ndarray:
+    """t - x for the denominator t = x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))
+    of Laplace's continued fraction for x >= _ERFCX_EDGE, evaluated from its
+    _ERFCX_FRACTION-th term up: the tail itself, not a difference."""
     t = x.copy()
-    for k in range(_ERFCX_FRACTION, 0, -1):
+    for k in range(_ERFCX_FRACTION, 1, -1):
         np.divide(0.5 * k, t, out=t)
         t += x
-    return (1.0 / math.sqrt(math.pi)) / t
+    return np.divide(0.5, t, out=t)
+
+
+def _erfcx_fraction(x: np.ndarray) -> np.ndarray:
+    """erfcx(x) = 1/sqrt(pi) / t for x >= _ERFCX_EDGE, t the continued
+    fraction's denominator."""
+    return (1.0 / math.sqrt(math.pi)) / (_erfcx_tail(x) + x)
 
 
 def _erfcx_left(x: np.ndarray) -> np.ndarray:
@@ -316,8 +322,17 @@ def filter_value(window_return, sigma_v, sigma_e, market_cap):
     z = mean / s
     # Above z = 9, s*phi(z)/Phi(z) is below 2**-60 of mean, so it cannot
     # change the sum, and it can underflow: it is left out there.
-    shift = np.multiply(s, _mills_ratio(z), out=np.zeros(z.shape), where=~(z > 9.0))
-    return _scalar_or_array(cap * (mean + shift))
+    value = np.multiply(s, _mills_ratio(z), out=np.zeros(z.shape), where=~(z > 9.0))
+    value += mean
+    # Where _erfcx takes the continued fraction, x = -z/sqrt(2) >= _ERFCX_EDGE,
+    # the sum cancels. There phi(z)/Phi(z) = sqrt(2)*t, t the fraction's
+    # denominator, so mean + s*phi/Phi = s*sqrt(2)*(t - x), with no difference.
+    x = -z / math.sqrt(2.0)
+    left = x >= _ERFCX_EDGE
+    if left.any():
+        s_left = np.broadcast_to(s, z.shape)[left]
+        value[left] = s_left * math.sqrt(2.0) * _erfcx_tail(x[left])
+    return _scalar_or_array(cap * value)
 
 
 def assign_values(events, sigma_v: float, default_sigma_e: float) -> PatentEvents:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mapped
 from .bvar import PosteriorDraw, PosteriorDraws, VarSpec, companion
 from .errors import NumericalError
 from .panel import write_csv, write_json
@@ -264,7 +263,7 @@ def irf_band_summary(
     lagged = _lag_operators(draws.B, spec)
     del draws
     window = min(spec.lags + 1, horizon + 1)
-    responses = mapped.empty((len(lagged), window, n, n))
+    responses = np.empty((len(lagged), window, n, n))
     bands = _banded_responses(lagged.__getitem__, impact, spec.lags, horizon, responses)
     return _irf_set(spec, bands, np.empty((0,) + bands.shape[1:]))
 

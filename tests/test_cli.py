@@ -14,8 +14,9 @@ import yaml
 from numpy.testing import assert_array_equal
 
 import newsvar
-from newsvar import cli, mapped, structural
+from newsvar import cli, structural
 from newsvar.bvar import PosteriorDraws, VarSpec, posterior_sample
+from newsvar.errors import DataError
 from newsvar.panel import load_panel
 from newsvar.patentval import filter_value
 from newsvar.structural import irf_bands, irf_to_csv, irf_to_json, rescale_irf
@@ -247,7 +248,20 @@ class TestRescaleOneShock:
         signs = np.signbit(bands[:, zeros])
         assert (signs == signs[0]).all(), signs
 
-    def test_irf_holds_one_copy_of_the_responses(self, tmp_path):
+    @pytest.fixture
+    def heap_posterior(self, monkeypatch):
+        """``cli._posterior_draws`` handing the step heap copies of B and
+        Sigma. The files are read memory-mapped, out of tracemalloc's
+        sight; the copies are counted exactly while the step holds them."""
+        load = cli._posterior_draws
+
+        def on_heap(*args):
+            draws = load(*args)
+            return PosteriorDraws(np.array(draws.B), np.array(draws.Sigma), draws.stable)
+
+        monkeypatch.setattr(cli, "_posterior_draws", on_heap)
+
+    def test_irf_holds_one_copy_of_the_responses(self, tmp_path, heap_posterior):
         # tracemalloc counts numpy's buffers. With n=6 and 3000 draws the
         # responses take 18.1 MB; irf peaked at 2.27x that while the bands
         # sorted a draws-last copy of every cell and rescale_irf copied
@@ -258,22 +272,17 @@ class TestRescaleOneShock:
         # shock's draws are kept, at 0.34x once no draws are kept and the
         # rescale scales the bands, and at 0.30x once the bands are handed
         # the only reference to the posterior, let it go after gathering the
-        # lag operators and band windows of p+1 horizons. The posterior is
-        # now mapped from its files, and the window mapped too, out of
-        # tracemalloc's sight; adding the most the maps held at once (B and
-        # Sigma, 2.8 MB) to tracemalloc's peak bounds the step's at 0.30x.
+        # lag operators and band windows of p+1 horizons.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
         config = cli.load_config(cfg)
-        mapped.reset_peak()
         tracemalloc.start()
         try:
             cli.run(config, "irf")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peak += mapped.peak_bytes()
         responses = 3000 * 21 * 6 * 6 * 8
         assert peak < 0.33 * responses, peak / responses
 
@@ -302,23 +311,36 @@ class TestRescaleOneShock:
         # n=3, p=2, 20000 draws: B and Sigma take 4.8 MB. estimate peaked at
         # 3.02x that while posterior_sample held every draw's normals z, two
         # products of them and B at once, and at 1.27x once z and B are
-        # formed a 1024-draw chunk at a time. B and Sigma are memory maps of
-        # their own, out of tracemalloc's sight, so they are added in full.
+        # formed a 1024-draw chunk at a time.
         est = estimate_var(tmp_path, n=3, draws=20000, horizon=4, lags=2)
         config = cli.load_config(write_yaml(tmp_path / "again.yaml", yaml.safe_dump(est)))
         posterior = 20000 * (7 * 3 + 3 * 3) * 8
-        mapped.reset_peak()
         tracemalloc.start()
         try:
             cli.run(config, "estimate")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mapped.peak_bytes() == posterior
-        peak += posterior
         assert peak < 1.5 * posterior, peak / posterior
 
-    def test_irf_peaks_no_higher_than_its_bands(self, tmp_path):
+    def test_run_trims_the_heap_once_per_command(self, tmp_path, monkeypatch):
+        # Each call records whether the output directory is still there and
+        # the manifest written: the trim comes after the command, and after a
+        # failed one has removed the directory it made.
+        work, trims = tmp_path / "work", []
+
+        def spy(pad):
+            trims.append((pad, work.exists(), (work / "manifest.json").exists()))
+
+        monkeypatch.setattr(cli, "_malloc_trim", spy)
+        est = cli.load_config(write_yaml(tmp_path / "est.yaml", ESTIMATE_YAML))
+        with pytest.raises(DataError, match="panel.csv"):
+            cli.run(est, "estimate")  # before simulate, so the data is missing
+        assert trims == [(0, False, False)]
+        cli.run(cli.load_config(write_yaml(tmp_path / "sim.yaml", SIMULATE_YAML)), "simulate")
+        assert trims == [(0, False, False), (0, True, True)]
+
+    def test_irf_peaks_no_higher_than_its_bands(self, tmp_path, heap_posterior):
         # At p=4 the posterior (4.5 MB here) outweighs the one-shock
         # rescale's copy (3 MB), so the step peaked at irf_bands (1.00x)
         # only when the posterior was let go first; holding it, the run
@@ -326,10 +348,9 @@ class TestRescaleOneShock:
         # time and keeping one shock's draws, it peaked at 0.68x; keeping
         # no draws and scaling the bands, at 0.57x; letting the posterior go
         # once the lag operators are gathered, with windows of 5 horizons,
-        # at 0.37x. The posterior is now mapped from its files, and the
-        # window mapped too, out of tracemalloc's sight; adding the most
-        # the maps held at once (B and Sigma, 4.5 MB) to tracemalloc's peak
-        # bounds the step's at 0.42x.
+        # at 0.37x while the posterior files were mapped out of
+        # tracemalloc's sight, and at 0.41x counting heap copies of B and
+        # Sigma.
         est = estimate_var(tmp_path, n=6, draws=3000, horizon=20, lags=4)
         rescale = {"variable": "v1", "horizon": 3, "value": -2.0}
         cfg = write_yaml(tmp_path / "irf.yaml", yaml.safe_dump({**est, "rescale": rescale}))
@@ -345,12 +366,10 @@ class TestRescaleOneShock:
             bands = tracemalloc.get_traced_memory()[1]
             del draws
             tracemalloc.reset_peak()
-            mapped.reset_peak()
             cli.run(config, "irf")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peak += mapped.peak_bytes()
         assert peak < 0.47 * bands, peak / bands
 
 
@@ -829,10 +848,11 @@ lp:
         # band that se = inf leaves.
         result = self.run_scaled_demo(tmp_path, 1e200)
         assert result.returncode == 4, result.stderr
-        assert result.stderr.splitlines()[-1] == (
+        # before: numpy's overflow warning from the HAC product came first
+        assert result.stderr.splitlines() == [(
             f"numerical error: {tmp_path / 'lp_ng.svg'}: figure 'ng response to "
             f"idiosyncratic_std': lower[0] holds -inf; a figure needs finite values"
-        )
+        )]
         assert not list(tmp_path.glob("lp_*"))
 
     def test_overflowing_band_leaves_no_artifact(self, tmp_path):
@@ -841,7 +861,11 @@ lp:
         # the figure then refused, leaving them without lp_ng.svg
         result = self.run_scaled_demo(tmp_path, 1e100, "  band_se: 1.0e+300\n")
         assert result.returncode == 4, result.stderr
-        assert "lp_ng.svg: figure 'ng response to idiosyncratic_std'" in result.stderr
+        # before: numpy's overflow warning from the band product came first
+        [line] = result.stderr.splitlines()
+        assert line.startswith(
+            f"numerical error: {tmp_path / 'lp_ng.svg'}: figure 'ng response to idiosyncratic_std'"
+        )
         assert not list(tmp_path.glob("lp_*"))
 
 
@@ -1192,21 +1216,6 @@ class TestConfigAndExitCodes:
         assert cli.main(["estimate", "--config", cfg]) == 3
         assert "panel.csv is not valid UTF-8" in capsys.readouterr().err
 
-    def test_collinear_panel_is_numerical_error(self, tmp_path):
-        rng = np.random.default_rng(0)
-        t = 40
-        a = rng.normal(size=t)
-        with open(tmp_path / "panel.csv", "w", encoding="utf-8") as fh:
-            fh.write("date,a,b\n")
-            for i in range(t):
-                fh.write(f"{1950 + i // 4}Q{i % 4 + 1},{float(a[i])!r},{float(2 * a[i])!r}\n")
-        cfg = write_yaml(
-            tmp_path / "c.yaml",
-            "out: x\ndata: panel.csv\nlags: 1\nprior: {kind: flat}\ndraws: 5\n",
-        )
-        assert cli.main(["estimate", "--config", cfg]) == 4
-        assert not (tmp_path / "x").exists()
-
     def short_panel_config(self, tmp_path, lags):
         """A 6-quarter panel of two variables at ``lags``."""
         rng = np.random.default_rng(5)
@@ -1234,6 +1243,29 @@ class TestConfigAndExitCodes:
         cfg = self.short_panel_config(tmp_path, lags)
         assert cli.main([command, "--config", cfg]) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose"])
+    @pytest.mark.parametrize("column", ["constant", "copy"])
+    def test_collinear_panel_is_data_error(self, tmp_path, capsys, command, column):
+        # before: exit 4, "numerical error: rank-deficient X: ..."
+        rng = np.random.default_rng(5)
+        with open(tmp_path / "panel.csv", "w", encoding="utf-8") as fh:
+            fh.write("date,a,b,c\n")
+            for i, (a, b) in enumerate(rng.normal(size=(40, 2)).tolist()):
+                c = 1.5 if column == "constant" else a
+                fh.write(f"{1950 + i // 4}Q{i % 4 + 1},{a!r},{b!r},{c!r}\n")
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "out: x\ndata: panel.csv\nlags: 2\ndraws: 5\ndecompose: {reference: a, target: b}\n",
+        )
+        assert cli.main([command, "--config", cfg]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: rank-deficient X: condition number ")
+        assert line.endswith(
+            f"; the regressors built from {tmp_path / 'panel.csv'} are collinear, "
+            "as when a column is constant or copies another"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_failed_command_removes_the_directories_it_made(self, tmp_path, capsys):

@@ -144,6 +144,42 @@ class TestFilterValue:
         want = delta * 0.01 + np.sqrt(delta) * 0.02 * np.sqrt(2 / np.pi)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_strongly_negative_z_is_positive_and_within_ulps(self):
+        # z = delta*r/s from -4.3 (x = -z/sqrt(2) = 3.04) to -1e300. before:
+        # mean + s*phi(z)/Phi(z) cancelled, giving -2.3e-10 at z = -1e8 and
+        # 0.0 at z = -1e12. The bound is the largest error measured, 2.6
+        # ulp, rounded up.
+        sv = se = 0.02
+        var_v = sv * sv
+        delta = var_v / (var_v + se * se)  # 0.5 exactly
+        s = float(np.sqrt(delta) * se)
+        r = -np.geomspace(4.3, 1e300, 600) * s / delta
+        got = filter_value(r, sv, se, 1.0)
+        assert (got > 0.0).all()
+        z = delta * r / s  # the z the filter forms
+        want = [_exact_left_value(s, v) for v in z.tolist()]
+        errors = [float(abs(w - g)) / math.ulp(float(w)) for g, w in zip(got.tolist(), want)]
+        assert max(errors) <= 3.0, (z[np.argmax(errors)], max(errors))
+
+
+def _exact_left_value(s: float, z: float):
+    """s*(z + phi(z)/Phi(z)) at the doubles s and z <= -4.3, to 100 digits,
+    as s*sqrt(2)*(1/(sqrt(pi)*erfcx(x)) - x) with x = -z/sqrt(2). Below x =
+    1e4 by mpmath's erfc, which cancels at most 8 digits; above it by the
+    asymptotic series sqrt(pi)*x*erfcx(x) = 1 + R, R = sum over n >= 1 of
+    (-1)^n (2n-1)!!/(2x^2)^n to n = 11 (the next term is below 1e-79 of
+    R), where the difference is -x*R/(1 + R) and nothing cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        x = -mpmath.mpf(z) / mpmath.sqrt(2)
+        if x >= 1e4:
+            u = 1 / (2 * x * x)
+            rest = mpmath.fsum((-1) ** n * mpmath.fac2(2 * n - 1) * u**n for n in range(1, 12))
+            tail = -x * rest / (1 + rest)
+        else:
+            tail = 1 / (mpmath.sqrt(mpmath.pi) * mpmath.erfc(x) * mpmath.exp(x * x)) - x
+        return mpmath.mpf(s) * mpmath.sqrt(2) * tail
+
 
 def event(day, firm="acme", green=False, ret=0.01, cap=1e9, value=None):
     return PatentEvent(

@@ -18,7 +18,7 @@ from newsvar.bvar import (
     ols_estimate,
     posterior_sample,
 )
-from newsvar import mapped, structural
+from newsvar import structural
 from newsvar.errors import NumericalError
 from newsvar.structural import (
     BAND_PERCENTILES,
@@ -337,11 +337,8 @@ class TestShockIrfBands:
     @staticmethod
     def summary_peak(make_draws):
         """tracemalloc's peak over ``make_draws()`` and an
-        ``irf_band_summary`` of the posterior it returns, plus the most
-        bytes mapped at once meanwhile (the band window, out of
-        tracemalloc's sight): an upper bound on the peak of both. This
-        frame keeps no reference to the posterior through the call."""
-        mapped.reset_peak()
+        ``irf_band_summary`` of the posterior it returns. This frame keeps
+        no reference to the posterior through the call."""
         tracemalloc.start()
         try:
             spec, draws = make_draws()
@@ -351,7 +348,7 @@ class TestShockIrfBands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak + mapped.peak_bytes()
+        return peak
 
     def test_holds_less_than_every_shocks_responses(self):
         # n=6, p=2, 3000 draws, H=20: every shock's responses take 18.1 MB;
@@ -360,7 +357,7 @@ class TestShockIrfBands:
         # shock's draws are kept. The caller here keeps its posterior (B
         # 1.9 MB, Sigma 0.9 MB, made before the trace), so the lag operators
         # of every draw (1.7 MB), gathered once, are held beside it: with
-        # windows of 3 horizons (2.6 MB, mapped) the peak is 0.40x.
+        # windows of 3 horizons (2.6 MB) the peak is 0.40x.
         spec, draws = random_draws(3000, 6, 2, seed=0)
         peak = self.summary_peak(lambda: (spec, draws))
         responses = 3000 * 21 * 6 * 6 * 8
@@ -370,7 +367,7 @@ class TestShockIrfBands:
         # As above, with the posterior made inside the trace and its only
         # reference handed over, as cmd_irf does: before the lag operators
         # were gathered once, B and Sigma stayed through the bands, a peak
-        # of 0.55x; let go once the lag operators exist, the peak is 0.44x.
+        # of 0.55x; let go once the lag operators exist, the peak is 0.40x.
         peak = self.summary_peak(lambda: random_draws(3000, 6, 2, seed=0))
         responses = 3000 * 21 * 6 * 6 * 8
         assert peak < 0.47 * responses, peak / responses
