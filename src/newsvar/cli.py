@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -313,16 +312,23 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc.reason}") from None
     try:
         doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+        # PyYAML spreads its message over lines; the CLI prints one
+        where = str(exc).replace('in "<unicode string>", ', "at ")
+        raise ConfigError(f"invalid YAML in {path}: {' '.join(where.split())}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
 
     doc = dict(doc)
+    spelled = sorted({"sample_start", "sample_end"} & set(doc))
+    if spelled:
+        raise ConfigError(f"unknown key(s) {spelled} in config; the range is sample: {{start, end}}")
     sample = doc.pop("sample", None)
     if sample is not None:
         if not isinstance(sample, dict) or set(sample) - {"start", "end"}:
@@ -388,6 +394,8 @@ def config_hash(config: RunConfig) -> str:
 
 
 def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
+    # the BLAS numpy was built against decides the last bits of every product
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
@@ -395,7 +403,7 @@ def _write_manifest(out: Path, command: str, config: RunConfig) -> Path:
         "versions": {
             "newsvar": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }

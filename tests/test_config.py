@@ -10,9 +10,8 @@ import pytest
 import yaml
 
 from newsvar import cli
-from newsvar.panel import write_panel
-from newsvar.synth import Dgp, simulate_var
 
+import misuse
 import test_cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -110,69 +109,6 @@ def test_every_command_reads_some_key():
     assert readers == set(cli.COMMANDS)
 
 
-@pytest.fixture
-def runnable(tmp_path):
-    """A config on which estimate, lp and simulate each exit 0."""
-    coefficients, impact = [[0.1, 0.0], [0.5, 0.1], [0.0, 0.4]], [[1.0, 0.0], [0.5, 0.8]]
-    dgp = Dgp(B=coefficients, L=impact, seed=2, names=["ng", "g"])
-    write_panel(simulate_var(dgp, 80)[0], tmp_path / "panel.csv")
-    doc = {
-        "out": "out", "data": "panel.csv", "variables": ["ng", "g"], "lags": 1, "draws": 20,
-        "horizon": 4, "prior": {"kind": "flat"},
-        "lp": {"shock_file": "panel.csv", "shock_column": "ng", "outcomes": ["g"]},
-        "dgp": yaml.safe_load(test_cli.SIMULATE_YAML)["dgp"],
-    }
-    return tmp_path, doc
-
-
-@pytest.mark.parametrize(
-    "command, label, value",
-    [
-        ("estimate", "intercept", "false"),
-        ("irf", "intercept", "false"),
-        ("estimate", "variables", "ng"),
-        ("lp", "lp.outcomes", "ng"),
-        ("estimate", "transforms", ["g"]),
-        ("estimate", "data", 5),
-        ("simulate", "out", 7),
-    ],
-)
-def test_reproduced_misuse_is_config_error(runnable, capsys, command, label, value):
-    # before: intercept "false" was truthy (estimate exited 0 with an
-    # intercept, then irf exited 4), the two strings were iterated one
-    # character at a time, and the last three ended in a traceback (exit 1)
-    base, doc = runnable
-    (base / "good.yaml").write_text(yaml.safe_dump({**doc, "out": "good"}), encoding="utf-8")
-    runs = "estimate" if command == "irf" else command
-    assert cli.main([runs, "--config", str(base / "good.yaml")]) == 0
-    set_key(doc, label, value)
-    (base / "bad.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
-    capsys.readouterr()
-    assert cli.main([command, "--config", str(base / "bad.yaml")]) == 2
-    assert f"{label} must be" in capsys.readouterr().err
-    assert not (base / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "command, block, start, end",
-    [("estimate", "sample", "1920Q1", "1910Q1"), ("index", "index", "2000Q1", "1999Q1")],
-)
-def test_inverted_range_is_config_error(runnable, capsys, command, block, start, end):
-    # before: exit 3, "data error: start ... is after end ...", once the
-    # panel or the events were read
-    base, doc = runnable
-    test_cli.TestIndexCommand().index_config(base)
-    doc["index"] = {"events": "events.csv"}
-    (base / "good.yaml").write_text(yaml.safe_dump({**doc, "out": "good"}), encoding="utf-8")
-    assert cli.main([command, "--config", str(base / "good.yaml")]) == 0
-    doc[block] = {**doc.get(block, {}), "start": start, "end": end}
-    (base / "bad.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
-    capsys.readouterr()
-    assert cli.main([command, "--config", str(base / "bad.yaml")]) == 2
-    assert capsys.readouterr().err == f"config error: {block} start {start} is after end {end}\n"
-    assert not (base / "out").exists()
-
-
 # config_hash of each text as the code before the key table computed it, so
 # that manifests stay byte-identical
 PINNED_HASHES = {
@@ -214,8 +150,6 @@ def test_path_keys_resolve_against_the_config_directory(tmp_path):
     assert config.lp is None and config.index is None
 
 
-def test_output_path_that_is_a_file_is_config_error(tmp_path, capsys):
-    # before: FileExistsError from mkdir, a traceback and exit 1
-    (tmp_path / "run.yaml").write_text(test_cli.SIMULATE_YAML.replace("out: work", "out: run.yaml"))
-    assert cli.main(["simulate", "--config", str(tmp_path / "run.yaml")]) == 2
-    assert "cannot make the output directory" in capsys.readouterr().err
+# This module's CLI refusals are rows of tests/misuse.py, run here under the
+# ids they had.
+misuse.host(globals())
