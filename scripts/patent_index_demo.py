@@ -36,6 +36,17 @@ def write_events(path: Path, count: int, seed: int) -> None:
             fh.write(f"{day},{firm},{green},{ret!r},{cap!r}\n")
 
 
+def write_inputs(out: Path, count: int, seed: int) -> None:
+    """Write ``count`` events to ``events.csv`` and the ``run.yaml`` that
+    indexes them into ``out``."""
+    write_events(out / "events.csv", count, seed)
+    (out / "run.yaml").write_text(
+        "out: .\nseed: 0\nindex:\n  events: events.csv\n"
+        "  sigma_v: 0.02\n  sigma_e: 0.02\n",
+        encoding="utf-8",
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="index_out")
@@ -45,14 +56,8 @@ def main() -> int:
 
     out = Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    write_events(out / "events.csv", args.events, args.seed)
-    config = out / "run.yaml"
-    config.write_text(
-        "out: .\nseed: 0\nindex:\n  events: events.csv\n"
-        "  sigma_v: 0.02\n  sigma_e: 0.02\n",
-        encoding="utf-8",
-    )
-    code = cli.main(["index", "--config", str(config)])
+    write_inputs(out, args.events, args.seed)
+    code = cli.main(["index", "--config", str(out / "run.yaml")])
     if code != 0:
         return code
     stats = json.loads((out / "index_stats.json").read_text())

@@ -45,6 +45,33 @@ def make_dgp(seed: int) -> Dgp:
     )
 
 
+def write_inputs(out: Path, periods: int, draws: int, seed: int) -> Dgp:
+    """Write the simulated ``panel.csv`` and the ``run.yaml`` that drives
+    the CLI on it into ``out``; return the DGP."""
+    dgp = make_dgp(seed)
+    panel, _ = simulate_var(dgp, periods)
+    write_panel(panel, out / "panel.csv")
+    (out / "run.yaml").write_text(
+        f"""
+out: .
+data: panel.csv
+variables: [ng, g, tfp]
+lags: 2
+prior: {{kind: flat}}
+draws: {draws}
+seed: {seed}
+horizon: 20
+decompose: {{reference: ng, target: g, basis: posterior-mean}}
+lp:
+  shock_file: shocks.csv
+  shock_column: idiosyncratic_std
+  outcomes: [ng, g, tfp]
+""",
+        encoding="utf-8",
+    )
+    return dgp
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="demo_out", help="output directory")
@@ -55,31 +82,9 @@ def main() -> int:
 
     out = Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    dgp = make_dgp(args.seed)
+    dgp = write_inputs(out, args.periods, args.draws, args.seed)
     print(f"DGP spectral radius: {dgp.spectral_radius:.3f}")
-    panel, _ = simulate_var(dgp, args.periods)
-    write_panel(panel, out / "panel.csv")
-
     config = out / "run.yaml"
-    config.write_text(
-        f"""
-out: .
-data: panel.csv
-variables: [ng, g, tfp]
-lags: 2
-prior: {{kind: flat}}
-draws: {args.draws}
-seed: {args.seed}
-horizon: 20
-decompose: {{reference: ng, target: g, basis: posterior-mean}}
-lp:
-  shock_file: shocks.csv
-  shock_column: idiosyncratic_std
-  outcomes: [ng, g, tfp]
-""",
-        encoding="utf-8",
-    )
-
     for command in ("estimate", "irf", "decompose", "lp"):
         code = cli.main([command, "--config", str(config)])
         if code != 0:

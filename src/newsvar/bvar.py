@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .panel import TimeSeriesPanel
 
 # Relative tolerance on singular values below which X is treated as singular.
@@ -315,7 +315,9 @@ def _prior_moments(fit: OlsFit, prior: PriorSpec):
         for j in range(n):
             block[j] = (prior.tightness / lag) ** 2 / scales[j] ** 2
     if np.any(omega < np.finfo(float).tiny):
-        raise ValueError("prior tightness is too small: a prior variance underflows")
+        raise ConfigError(
+            f"prior.tightness {prior.tightness!r} is too small: a prior variance underflows"
+        )
     precision = np.diag(1.0 / omega[:, 0])
     nu0 = float(prior.nu0) if prior.nu0 is not None else n + 2.0
     if nu0 < n + 2:

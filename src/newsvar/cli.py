@@ -42,7 +42,7 @@ from .bvar import (
     posterior_sample,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .localproj import lp_irf, lp_irf_state, lp_to_csv, lp_to_json
+from .localproj import lp_irf, lp_irf_state, lp_payload, lp_to_csv, lp_to_json
 from .panel import (
     MissingDateColumnError,
     TimeSeriesPanel,
@@ -50,6 +50,7 @@ from .panel import (
     apply_transforms,
     format_quarter,
     header_round_trips,
+    json_text,
     load_panel,
     parse_quarter,
     write_csv,
@@ -658,7 +659,10 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
         cut = parse_quarter(config.lp.breakpoint)
         dummy = (np.arange(first, last + 1) > cut).astype(float)
 
-    paths: dict[str, Path] = {}
+    # Every outcome is fitted, drawn and checked for its JSON, which holds
+    # every number of its CSV, before any file is written, so a refusal
+    # leaves no artifact of any outcome behind.
+    fitted = []
     for outcome in config.lp.outcomes:
         y = panel.column(outcome)
         title = f"{outcome} response to {config.lp.shock_column}"
@@ -669,9 +673,6 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
             result.dummy_name = f"after {config.lp.breakpoint}"
             shown, title = result.post, title + " (post regime)"
         files = {kind: out / f"lp_{outcome}.{kind}" for kind in ("csv", "json", "svg")}
-        # The figure is drawn, and the JSON, which holds every number of the
-        # CSV, written first, so a non-finite number leaves none of the
-        # three files behind.
         with np.errstate(over="ignore"):  # the figure refuses an inf band
             band = config.lp.band_se * shown.se
         try:
@@ -681,6 +682,10 @@ def cmd_lp(config: RunConfig, out: Path) -> dict[str, Path]:
             )
         except NumericalError as exc:
             raise NumericalError(f"{files['svg']}: {exc}") from None
+        json_text(lp_payload(result, config.lp.band_se), files["json"])
+        fitted.append((outcome, result, files, svg))
+    paths: dict[str, Path] = {}
+    for outcome, result, files, svg in fitted:
         lp_to_json(result, files["json"], band_se=config.lp.band_se)
         lp_to_csv(result, files["csv"])
         files["svg"].write_text(svg, encoding="utf-8")

@@ -258,9 +258,14 @@ def lp_to_csv(result, path) -> None:
     write_csv(path, ["horizon", "beta", "se", "n_obs", "regime"], rows)
 
 
-def lp_to_json(result, path, band_se: float = 1.0) -> None:
+def lp_payload(result, band_se: float = 1.0) -> dict:
+    """What ``lp_to_json`` writes: every number of ``lp_to_csv`` and more."""
     payload = {"regimes": {regime: _columns(res) for regime, res in _regimes(result)}}
     if isinstance(result, StateLpResult):
         payload["dummy"] = result.dummy_name
     payload["band_se_multiple"] = band_se
-    write_json(payload, path)
+    return payload
+
+
+def lp_to_json(result, path, band_se: float = 1.0) -> None:
+    write_json(lp_payload(result, band_se), path)

@@ -123,20 +123,26 @@ def _first_non_finite(value, where: str):
     return next(filter(None, (_first_non_finite(item, at) for at, item in items)), None)
 
 
-def write_json(payload, path) -> None:
-    """Write a JSON artifact: UTF-8, sorted keys, one-space indent and a
-    trailing newline, so equal payloads give equal bytes. A non-finite
-    float, which strict JSON cannot hold, is a NumericalError naming its
-    field, raised before the file is opened."""
+def json_text(payload, path) -> str:
+    """The text ``write_json`` writes to ``path``: sorted keys, one-space
+    indent and a trailing newline, so equal payloads give equal bytes. A
+    non-finite float, which strict JSON cannot hold, is a NumericalError
+    naming ``path`` and its field."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
     except ValueError:
         found = _first_non_finite(payload, "")
         if found is None:
             raise
         raise _non_finite(path, f"field {found[0]}", found[1]) from None
+
+
+def write_json(payload, path) -> None:
+    """Write a JSON artifact, UTF-8, as ``json_text`` spells it; its
+    NumericalError is raised before the file is opened."""
+    text = json_text(payload, path)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 @dataclass

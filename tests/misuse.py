@@ -478,6 +478,13 @@ ROWS = (
             sub({MINNESOTA: "nu0: 1.0"}))
         for command in ("estimate", "decompose")
     ),
+    *(
+        # before: "numerical error: prior tightness is too small", exit 4
+        Row(ROW + f"[tightness-underflows-{command}]", command, 2,
+            exact(f"prior.tightness {value} is too small: a prior variance underflows"),
+            sub({"tightness: 0.2": f"tightness: {value}"}))
+        for command, value in (("estimate", "1e-300"), ("decompose", "1e-160"))
+    ),
     # the panel, the shock series and the events
     Row(EXITS + "test_missing_data_file_is_data_error", "estimate", 3, NO_PANEL, sub(NO_DATA)),
     Row(ROW + "[missing.yaml]", "estimate", 3, NO_PANEL,
@@ -524,6 +531,10 @@ ROWS = (
         SVG + exact(": lower[0] holds -inf; a figure needs finite values"), scaled(1e200)),
     Row(LP + "test_overflowing_band_leaves_no_artifact", "lp", 4, SVG + ".*",
         scaled(1e100), sub({"outcomes: [ng]}": "outcomes: [ng], band_se: 1.0e+300}"})),
+    # before: g's three files were written before ng's figure was refused
+    Row(ROW + "[refused-outcome-leaves-no-outcome-written]", "lp", 4,
+        SVG + exact(": lower[0] holds -inf; a figure needs finite values"),
+        ran("decompose"), scaled(1e200), sub({"outcomes: [ng]": "outcomes: [g, ng]"}), kept=True),
     Row(INDEX + "test_non_finite_cells_are_data_error", "index", 3,
         exact("row 42: window_return must be finite"),
         append("1999-05-01,firmx,1,nan,inf\n", "events.csv")),

